@@ -47,9 +47,6 @@ class FiniteBase:
     def image(self, x: int) -> int:
         return self.perm[x]
 
-    def preimage(self, x: int) -> int:
-        return self.perm.index(x)
-
     def orbit_point(self, x: int, k: int) -> int:
         for _ in range(k):
             x = self.perm[x]
@@ -129,9 +126,6 @@ class Extension:
             self.xi,
             mode=FLOAT,
         )
-
-    def eval_fiber(self, x: int, point):
-        return self.fibers[x].evaluate(point)
 
 
 def orbit_compose(ext: Extension, x: int, k: int, cap: int) -> PolyMap:
@@ -241,11 +235,10 @@ def validate_extension(
     diag_detail, band_detail = [], []
     for x, pm in enumerate(ext.fibers):
         matrix = pm.linear_matrix()
-        for r in range(ext.dims.total):
-            for c in range(ext.dims.total):
-                if ext.dims.block_of[r] != ext.dims.block_of[c] and matrix[r][c]:
-                    diag_ok = False
-                    diag_detail.append(f"point {x}: off-block entry at ({r}, {c})")
+        for r, c, entry in ext.dims.off_block(matrix):
+            if entry:
+                diag_ok = False
+                diag_detail.append(f"point {x}: off-block entry at ({r}, {c})")
         for i in range(ext.dims.ell):
             block = np.array(_block_matrix(matrix, ext.dims, i), dtype=float)
             svals = np.linalg.svd(block, compute_uv=False)

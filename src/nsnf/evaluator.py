@@ -133,25 +133,32 @@ class Evaluator:
             f"last increment {increments[-1]:.3e} (hypothesis violated or radius too large)"
         )
 
+    def _there(self, x: int, t, cfg: EvalConfig) -> tuple[float, ...]:
+        """The limit one step on: H_{fx}(F_x(t))."""
+        ft = self.ext.fiber(x).evaluate(t)
+        return self.eval_h(self.base.image(x), ft, cfg).value
+
+    def _residual(self, x: int, here, there) -> float:
+        right = self.nf.p_poly(x).evaluate(here)
+        return _sup(tuple(a - b for a, b in zip(there, right)))
+
+    def _one_step_gap(self, x: int, here, there) -> float:
+        pulled = self.p_inv[x].evaluate(there)
+        return _sup(tuple(a - b for a, b in zip(here, pulled)))
+
     def residual(self, x: int, t, cfg: EvalConfig | None = None) -> float:
         """Defect of the conjugacy identity at the converged limit."""
         cfg = cfg or self.cfg
         t = tuple(float(c) for c in t)
-        fx = self.base.image(x)
-        ft = self.ext.fiber(x).evaluate(t)
-        left = self.eval_h(fx, ft, cfg).value
-        right = self.nf.p_poly(x).evaluate(self.eval_h(x, t, cfg).value)
-        return _sup(tuple(a - b for a, b in zip(left, right)))
+        there = self._there(x, t, cfg)
+        return self._residual(x, self.eval_h(x, t, cfg).value, there)
 
     def one_step_gap(self, x: int, t, cfg: EvalConfig | None = None) -> float:
         """Single-step invariance: H_x(t) against P_x^{-1}(H_{fx}(F_x(t)))."""
         cfg = cfg or self.cfg
         t = tuple(float(c) for c in t)
-        fx = self.base.image(x)
-        ft = self.ext.fiber(x).evaluate(t)
-        pulled = self.p_inv[x].evaluate(self.eval_h(fx, ft, cfg).value)
-        here = self.eval_h(x, t, cfg).value
-        return _sup(tuple(a - b for a, b in zip(here, pulled)))
+        there = self._there(x, t, cfg)
+        return self._one_step_gap(x, self.eval_h(x, t, cfg).value, there)
 
     def order_of_contact(
         self,
@@ -229,11 +236,12 @@ class Evaluator:
             for d1, d2 in zip(res.increments, res.increments[1:]):
                 if d1 > 100.0 * cfg.tol and d2 > 100.0 * cfg.tol:
                     ratios.append(d2 / d1)
-            r = self.residual(x, t, cfg)
+            there = self._there(x, t, cfg)
+            r = self._residual(x, res.value, there)
             total += r
             worst = max(worst, r)
             if one_step_every and j % one_step_every == 0:
-                worst_gap = max(worst_gap, self.one_step_gap(x, t, cfg))
+                worst_gap = max(worst_gap, self._one_step_gap(x, res.value, there))
         return ResidualStats(
             samples=samples,
             seed=seed,

@@ -322,15 +322,10 @@ def load_instance(path: str) -> Instance:
         raise InstanceError(f"{path}: {err}") from None
 
 
-def poly_records(pm: PolyMap) -> list[dict]:
-    """Serialization order is the graded monomial order; deterministic."""
-    return to_records(pm)
-
-
 def extension_json(ext: Extension) -> dict:
     return {
         "permutation": list(ext.base.perm),
-        "fibers": [poly_records(ext.fiber(x)) for x in range(ext.base.p)],
+        "fibers": [to_records(ext.fiber(x)) for x in range(ext.base.p)],
     }
 
 
@@ -356,7 +351,7 @@ def instance_json(
         "sigma": ext.sigma,
         "xi": ext.xi,
         "mode": ext.mode,
-        "fibers": [poly_records(ext.fiber(x)) for x in range(ext.base.p)],
+        "fibers": [to_records(ext.fiber(x)) for x in range(ext.base.p)],
     }
     if commuting is not None:
         block = extension_json(commuting)

@@ -80,6 +80,24 @@ class GradedDims:
             out.append(sum(exponents[sl.start : sl.stop]))
         return tuple(out)
 
+    def off_block(self, matrix) -> Iterator[tuple[int, int, object]]:
+        """(row, column, entry) for every entry of a square matrix outside
+        the diagonal blocks, row by row."""
+        block_of = self.block_of
+        for r in range(self.total):
+            for c in range(self.total):
+                if block_of[r] != block_of[c]:
+                    yield r, c, matrix[r][c]
+
+
+def vanishing(values: Iterable, mode: str, tol: float, scale=0.0) -> bool:
+    """The one vanishing test for residues: every value exactly zero in
+    rational mode, the largest magnitude at most tol * max(1, scale) in
+    float mode."""
+    if mode == RATIONAL:
+        return not any(values)
+    return max((abs(v) for v in values), default=0.0) <= tol * max(1.0, scale)
+
 
 def _check_scalar(value, mode):
     if mode == RATIONAL:
@@ -221,6 +239,10 @@ class PolyMap:
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
+
+    def vanishes(self, tol: float, scale=0.0) -> bool:
+        """No terms in rational mode; max_abs() <= tol * max(1, scale) in float mode."""
+        return vanishing(self.coeffs.values(), self.mode, tol, scale)
 
     # -- linear part ----------------------------------------------------
 
@@ -415,12 +437,9 @@ def invert(pmap: PolyMap, cap: int, float_tol: float = 1e-9) -> PolyMap:
         correction = left_linear(a_inv, defect.scale(-1), target=pmap.source)
         inv = inv.add(correction, cap=cap)
     check = compose(pmap, inv, cap).sub(identity_map(pmap.source, cap, pmap.mode))
-    if pmap.mode == RATIONAL:
-        if not check.is_zero():
-            raise AssertionError("formal inverse failed exact verification")
-    elif check.max_abs() > float_tol * max(1.0, inv.max_abs()):
+    if not check.vanishes(float_tol, inv.max_abs()):
         raise AssertionError(
-            f"formal inverse residual {check.max_abs():.3e} beyond tolerance"
+            f"formal inverse residual {float(check.max_abs()):.3e} beyond tolerance"
         )
     return inv
 
@@ -505,12 +524,9 @@ def group_inverse(g: GroupElement, spec: SpectrumSpec, tol=0, float_tol: float =
     d = degree_bound(spec)
     inv = invert(g.poly, d).jet(d)
     full = compose(g.poly, inv, d * d).sub(identity_map(g.dims, d * d, g.poly.mode))
-    if g.poly.mode == RATIONAL:
-        if not full.is_zero():
-            raise AssertionError("group inverse is not exact at degree <= d")
-    elif full.max_abs() > float_tol * max(1.0, inv.max_abs()):
+    if not full.vanishes(float_tol, inv.max_abs()):
         raise AssertionError(
-            f"group inverse residual {full.max_abs():.3e} beyond tolerance"
+            f"group inverse residual {float(full.max_abs()):.3e} beyond tolerance"
         )
     return make_group_element(inv, spec, g.tag, tol=tol)
 

@@ -14,8 +14,9 @@ import sys
 from . import __version__
 from .base import ValidationReport
 from .evaluator import OrderFit, ResidualStats
-from .instance import fraction_json, poly_records
+from .instance import fraction_json
 from .normal_form import NormalFormResult, ResonanceResult
+from .polymap import to_records
 from .spectrum import CriticalityCheck, SpectralConstants
 from .verify import TransitionWitness
 
@@ -69,8 +70,8 @@ def build_json(nf: NormalFormResult) -> dict:
         "certified": nf.certified,
         "lift": _lift_json(nf.lift_kind, nf.lift_seed),
         "certified_exponents": _exponents_json(nf.certified_exponents),
-        "h": [poly_records(nf.h_taylor[x]) for x in range(p)],
-        "p": [poly_records(nf.p_poly(x)) for x in range(p)],
+        "h": [to_records(nf.h_taylor[x]) for x in range(p)],
+        "p": [to_records(nf.p_poly(x)) for x in range(p)],
     }
 
 
@@ -79,8 +80,8 @@ def reduce_json(red: ResonanceResult) -> dict:
     return {
         "lift": _lift_json(red.lift_kind, red.lift_seed),
         "certified_exponents": _exponents_json(red.certified_exponents),
-        "h_prime": [poly_records(red.h_prime[x].poly) for x in range(p)],
-        "p_resonance": [poly_records(red.p_res[x].poly) for x in range(p)],
+        "h_prime": [to_records(red.h_prime[x].poly) for x in range(p)],
+        "p_resonance": [to_records(red.p_res[x].poly) for x in range(p)],
     }
 
 
@@ -109,17 +110,15 @@ def eval_json(stats: ResidualStats, fits: list[OrderFit] | None = None) -> dict:
     return out
 
 
-def witness_json(w: TransitionWitness, include_maps: bool = True) -> dict:
-    out = {
+def witness_json(w: TransitionWitness) -> dict:
+    return {
         "tag": w.tag,
         "stage": w.stage,
         "ok": w.ok,
         "off_class": [float(v) for v in w.off_class],
         "detail": w.detail,
+        "maps": [to_records(m) for m in w.maps],
     }
-    if include_maps:
-        out["maps"] = [poly_records(m) for m in w.maps]
-    return out
 
 
 def assemble_report(

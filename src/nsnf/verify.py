@@ -12,14 +12,7 @@ from fractions import Fraction
 from .base import Extension
 from .evaluator import EvalConfig, Evaluator
 from .normal_form import NormalFormResult, ResonanceResult, build_taylor, pinned_lift
-from .polymap import (
-    RATIONAL,
-    SUB_RESONANCE,
-    PolyMap,
-    compose,
-    invert,
-    max_off_class,
-)
+from .polymap import GROUP_TAGS, PolyMap, compose, invert, project, vanishing
 from .spectrum import TypeClass, criticality, degree_bound
 
 
@@ -43,12 +36,6 @@ class TransitionWitness:
     detail: str = ""
 
 
-_CLASSES = {
-    "sub-resonance": SUB_RESONANCE,
-    "resonance": frozenset({TypeClass.RESONANCE}),
-}
-
-
 def _same_instance(a: Extension, b: Extension) -> bool:
     return (
         a.base == b.base
@@ -59,15 +46,12 @@ def _same_instance(a: Extension, b: Extension) -> bool:
 
 
 def _witness(maps, spec, tag, float_tol) -> TransitionWitness:
-    mode = maps[0].mode
-    classes = _CLASSES[tag]
+    off_classes = frozenset(TypeClass) - GROUP_TAGS[tag]
     offs, oks = [], []
     for g in maps:
-        off = max_off_class(g, spec, classes)
-        off = float(off) if off else 0.0
-        limit = 0.0 if mode == RATIONAL else float_tol * max(1.0, g.max_abs())
-        offs.append(off)
-        oks.append(off <= limit)
+        off = project(g, spec, off_classes)
+        offs.append(float(off.max_abs()))
+        oks.append(off.vanishes(float_tol, g.max_abs()))
     return TransitionWitness(
         tag=tag,
         maps=tuple(maps),
@@ -154,19 +138,10 @@ def check_linearization(nf: NormalFormResult, float_tol: float = 1e-9) -> bool:
     for x in range(nf.ext.base.p):
         p = nf.p_poly(x)
         lin = p.jet(1)
-        if nf.ext.mode == RATIONAL:
-            if p != lin or lin.linear_matrix() != nf.ext.fiber(x).linear_matrix():
-                return False
-        else:
-            if p.sub(lin).max_abs() > float_tol * max(1.0, p.max_abs()):
-                return False
-            fl = nf.ext.fiber(x).linear_matrix()
-            pl = p.linear_matrix()
-            gap = max(
-                abs(a - b) for ra, rb in zip(pl, fl) for a, b in zip(ra, rb)
-            )
-            if gap > float_tol:
-                return False
+        if not p.sub(lin).vanishes(float_tol, p.max_abs()):
+            return False
+        if not lin.sub(nf.ext.fiber(x).jet(1)).vanishes(float_tol):
+            return False
     return True
 
 
@@ -214,31 +189,18 @@ def check_centralizer(
     for x in range(f.p):
         lhs = compose(ext_g.fiber(f.image(x)), ext_f.fiber(x), cap)
         rhs = compose(ext_f.fiber(g.image(x)), ext_g.fiber(x), cap)
-        diff = lhs.sub(rhs)
-        bad = (
-            not diff.is_zero()
-            if ext_f.mode == RATIONAL
-            else diff.max_abs() > float_tol * max(1.0, lhs.max_abs())
-        )
-        if bad:
+        if not lhs.sub(rhs).vanishes(float_tol, lhs.max_abs()):
             raise VerifyError(
                 "commutation", f"extensions do not commute over point {x}"
             )
 
     dims = ext_f.dims
     for x in range(f.p):
-        gamma = ext_g.fiber(x).linear_matrix()
-        for r in range(dims.total):
-            for c in range(dims.total):
-                if dims.block_of[r] == dims.block_of[c]:
-                    continue
-                entry = gamma[r][c]
-                bad = bool(entry) if ext_f.mode == RATIONAL else abs(entry) > float_tol
-                if bad:
-                    raise VerifyError(
-                        "derivative",
-                        f"derivative at the zero section mixes blocks at point {x}",
-                    )
+        mixing = [entry for _, _, entry in dims.off_block(ext_g.fiber(x).linear_matrix())]
+        if not vanishing(mixing, ext_f.mode, float_tol):
+            raise VerifyError(
+                "derivative", f"derivative at the zero section mixes blocks at point {x}"
+            )
 
     d = degree_bound(spec)
     if reduced is None:

@@ -23,11 +23,13 @@ from nsnf.polymap import (
     RATIONAL,
     GradedDims,
     PolyMap,
+    class_basis,
     compose,
+    from_linear,
     identity_map,
     make_group_element,
 )
-from nsnf.spectrum import SpectrumSpec
+from nsnf.spectrum import SpectrumSpec, TypeClass
 
 from fixtures import (
     D11,
@@ -129,6 +131,28 @@ def test_dense_solve_matches_grouped(monkeypatch):
     dense = build_taylor(ext, SPEC21, 3, 0)
     assert grouped.h_taylor == dense.h_taylor
     assert grouped.p_normal == dense.p_normal
+
+
+def _t2_squared_operator(mode, mixing, tol):
+    """Operator on the single key t2^2 -> coordinate 1, conjugated by a post
+    map that mixes t1 into t2; the image leaks into other NON_SUB groups."""
+    keys = class_basis(SPEC21, D11, 2, {TypeClass.NON_SUB})
+    group = next(g for g in nfm._grouped_basis(keys, D11, True) if g == [(1, (0, 2))])
+    one = F(1) if mode == RATIONAL else 1.0
+    post = from_linear([[one, one * 0], [mixing, one]], D11, D11, 1, mode)
+    pre = [[one, one * 0], [one * 0, one]]
+    index = {k: i for i, k in enumerate(group)}
+    guard = {TypeClass.NON_SUB}
+    return nfm._operator(group, index, pre, post, 2, SPEC21, guard, tol)
+
+
+def test_operator_guard_rejects_leaving_the_group():
+    assert _t2_squared_operator(RATIONAL, F(0), 0) == [[F(1)]]
+    with pytest.raises(nfm.BuildError, match="solve subspace"):
+        _t2_squared_operator(RATIONAL, F(1, 10**30), 1e-9)
+    with pytest.raises(nfm.BuildError, match="solve subspace"):
+        _t2_squared_operator(FLOAT, 1e-12, 0)
+    assert _t2_squared_operator(FLOAT, 1e-12, 1e-9) == [[1.0]]
 
 
 def test_build_is_deterministic():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -152,6 +153,28 @@ class TestGroup:
         inv = group_inverse(g, SPEC21)
         full = compose(g.poly, inv.poly, 4)
         assert full == identity_map(D11, 4, RATIONAL)
+
+
+class TestVanishes:
+    def test_tiny_rational_is_not_zero(self):
+        tiny = PolyMap(D11, D11, 1, RATIONAL, {(0, (1, 0)): F(1, 10**40)})
+        assert not tiny.vanishes(1e-9, scale=1e9)
+        assert zero_map(D11, D11, 1, RATIONAL).vanishes(0)
+
+    def test_float_boundary(self):
+        tol, scale = 1e-9, 8.0
+        bound = tol * scale
+        at = PolyMap(D11, D11, 1, FLOAT, {(0, (1, 0)): -bound})
+        above = PolyMap(D11, D11, 1, FLOAT, {(0, (1, 0)): math.nextafter(bound, 1.0)})
+        assert at.vanishes(tol, scale)
+        assert not above.vanishes(tol, scale)
+
+    def test_scale_below_one_clamps_to_one(self):
+        at = PolyMap(D11, D11, 1, FLOAT, {(1, (0, 1)): 1e-9})
+        above = PolyMap(D11, D11, 1, FLOAT, {(1, (0, 1)): math.nextafter(1e-9, 1.0)})
+        assert at.vanishes(1e-9, scale=0.25)
+        assert at.vanishes(1e-9)
+        assert not above.vanishes(1e-9, scale=0.25)
 
 
 class TestSerialization:
