@@ -26,8 +26,10 @@ from .polymap import (
     GradedDims,
     GroupElement,
     PolyMap,
+    Powers,
     class_basis,
     compose,
+    compose_part,
     from_linear,
     identity_map,
     left_linear,
@@ -154,6 +156,36 @@ class _SectionSource:
 # -- the conjugation operator and its cycle solves ----------------------
 
 
+def _sparse(matrix):
+    """Rows of a matrix as lists of (column, entry) over its nonzero entries."""
+    return [[(k, v) for k, v in enumerate(row) if v] for row in matrix]
+
+
+def _sparse_vec(rows, vec, zero):
+    """rows . vec, accumulating each row left to right from zero."""
+    out = []
+    for row in rows:
+        acc = zero
+        for k, a in row:
+            acc = acc + a * vec[k]
+        out.append(acc)
+    return out
+
+
+def _sparse_mul(a_rows, b_rows):
+    """a . b on sparse rows; each entry accumulates over the inner index in
+    increasing order."""
+    out = []
+    for row in a_rows:
+        acc: dict = {}
+        for k, a in row:
+            for j, b in b_rows[k]:
+                w = acc.get(j)
+                acc[j] = a * b if w is None else w + a * b
+        out.append([(j, acc[j]) for j in sorted(acc) if acc[j]])
+    return out
+
+
 def _solve_cycle(mats, rhs, one, pull: bool):
     """Fixed point of h_j = A_j h_{j+1} + b_j (pull) or h_{j+1} = A_j h_j + b_j
     (push) around one cycle; indices mod the cycle length."""
@@ -162,38 +194,30 @@ def _solve_cycle(mats, rhs, one, pull: bool):
     if n == 0:
         return [[] for _ in range(q)]
     zero = one * 0
-    ident = linsolve.identity(n, one)
-    if pull:
-        prefix = ident
-        c = [zero] * n
-        for j in range(q):
-            pb = linsolve.mat_vec(prefix, rhs[j])
-            c = [u + v for u, v in zip(c, pb)]
-            prefix = linsolve.mat_mul(prefix, mats[j])
-        m = prefix
-    else:
-        m = ident
-        c = [zero] * n
-        for j in range(q):
-            c = [u + v for u, v in zip(linsolve.mat_vec(mats[j], c), rhs[j])]
-            m = linsolve.mat_mul(mats[j], m)
-    i_minus_m = [
-        [(one if i == j else zero) - m[i][j] for j in range(n)] for i in range(n)
-    ]
+    rows = [_sparse(a) for a in mats]
+    m = [[(i, one)] for i in range(n)]
+    c = [zero] * n
+    for j in range(q):
+        if pull:
+            c = [u + v for u, v in zip(c, _sparse_vec(m, rhs[j], zero))]
+            m = _sparse_mul(m, rows[j])
+        else:
+            c = [u + v for u, v in zip(_sparse_vec(rows[j], c, zero), rhs[j])]
+            m = _sparse_mul(rows[j], m)
+    i_minus_m = linsolve.identity(n, one)
+    for i, row in enumerate(m):
+        for k, v in row:
+            i_minus_m[i][k] = i_minus_m[i][k] - v
     h0 = linsolve.solve(i_minus_m, c)
     out = [None] * q
     out[0] = h0
     if pull:
         for j in range(q - 1, 0, -1):
             nxt = out[(j + 1) % q]
-            out[j] = [
-                u + v for u, v in zip(linsolve.mat_vec(mats[j], nxt), rhs[j])
-            ]
+            out[j] = [u + v for u, v in zip(_sparse_vec(rows[j], nxt, zero), rhs[j])]
     else:
         for j in range(q - 1):
-            out[j + 1] = [
-                u + v for u, v in zip(linsolve.mat_vec(mats[j], out[j]), rhs[j])
-            ]
+            out[j + 1] = [u + v for u, v in zip(_sparse_vec(rows[j], out[j], zero), rhs[j])]
     return out
 
 
@@ -211,29 +235,44 @@ def _solve_cycles(base: FiniteBase, mats, rhs, one, pull: bool, what: str):
     return out
 
 
-def _operator(keys, index, pre, post: PolyMap, degree, spec, guard, tol):
+def _operator(keys, index, pre, post: PolyMap, degree, spec, guard, tol, powers=None):
     """Matrix of R -> pre . R o post on span(keys), one column per key.
 
-    `pre` is a matrix, `post` a linear map.  Image terms outside `keys`
-    whose class lies in `guard` must vanish (to tol, relative to the size
-    of the image): the operator has to preserve the solve subspace.
+    `pre` is a matrix, `post` a linear map and `powers` its power table
+    (built here when not given).  Image terms outside `keys` whose class
+    lies in `guard` must vanish (to tol, relative to the size of the image):
+    the operator has to preserve the solve subspace.
     """
     dims, mode = post.source, post.mode
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    cols = []
-    for key in keys:
-        mono = PolyMap(dims, dims, degree, mode, {key: one})
-        img = left_linear(pre, compose(mono, post, degree))
-        leaked = [
-            v
-            for k, v in img.coeffs.items()
-            if k not in index and classify_type(spec, img.type_of(*k)) in guard
-        ]
-        if leaked and not vanishing(leaked, mode, tol, img.max_abs()):
-            raise BuildError("conjugation left its solve subspace")
-        cols.append(_coords(img, keys, index))
+    powers = powers or Powers(post, degree)
+    zero = Fraction(0) if mode == RATIONAL else 0.0
     n = len(keys)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    matrix = [[zero] * n for _ in range(n)]
+    guarded: dict[tuple, bool] = {}
+    for col, (c, exps) in enumerate(keys):
+        img = {}
+        for e, v in powers.part(exps, None):
+            for r, row in enumerate(pre):
+                m = row[c]
+                if m:
+                    w = m * v
+                    if w:
+                        img[(r, e)] = w
+        leaked = []
+        for k, w in img.items():
+            pos = index.get(k)
+            if pos is not None:
+                matrix[pos][col] = w
+                continue
+            label = (dims.block_of[k[0]], dims.block_degrees(k[1]))
+            hit = guarded.get(label)
+            if hit is None:
+                hit = guarded[label] = classify_type(spec, HomogeneousType(*label)) in guard
+            if hit:
+                leaked.append(w)
+        if leaked and not vanishing(leaked, mode, tol, max(map(abs, img.values()))):
+            raise BuildError("conjugation left its solve subspace")
+    return matrix
 
 
 def _coords(poly: PolyMap, keys, index):
@@ -347,13 +386,9 @@ def _grouped_basis(keys, dims, diagonal):
 
 
 def _certified_exponent(spec, dims, keys, direction) -> Fraction | None:
+    labels = {(dims.block_of[c], dims.block_degrees(exps)) for c, exps in keys}
     return max(
-        (
-            phi_contraction_bound(
-                spec, HomogeneousType(dims.block_of[c], dims.block_degrees(exps)), direction
-            )
-            for c, exps in keys
-        ),
+        (phi_contraction_bound(spec, HomogeneousType(*label), direction) for label in labels),
         default=None,
     )
 
@@ -396,13 +431,19 @@ def build_taylor(
     used_sections: dict[tuple[int, int], PolyMap] = {}
     certified_exponents: dict[int, Fraction] = {}
 
+    # One power table per fiber serves every degree's H o F and the final
+    # check; the tables of the linear parts serve one degree's operator
+    # columns and hn o L.  P o H needs a fresh table each degree, as H grows.
+    fiber_powers = [Powers(ext.fiber(x), n_taylor) for x in range(p)]
     for degree in range(2, n_taylor + 1):
+        lin_powers = [Powers(lin_polys[x], degree) for x in range(p)]
         rn = []
         for x in range(p):
             fx = base.image(x)
-            lhs = compose(h[fx], ext.fiber(x), degree).homogeneous_part(degree)
-            rhs = compose(p_poly[x], h[x], degree).homogeneous_part(degree)
+            lhs = compose_part(h[fx], fiber_powers[x], degree)
+            rhs = compose_part(p_poly[x], Powers(h[x], degree), degree)
             rn.append(lhs.sub(rhs))
+        pulled = [left_linear(invs[x], rn[x]) for x in range(p)]
 
         keys = class_basis(spec, dims, degree, {TypeClass.NON_SUB})
         cert = _certified_exponent(spec, dims, keys, "forward")
@@ -415,17 +456,20 @@ def build_taylor(
 
         # The leak guard is exact in both modes: with block-diagonal linear
         # parts the forward operator keeps each group exactly.
-        hbar = [zero_map(dims, dims, degree, mode) for _ in range(p)]
+        hbar_coeffs: list[dict] = [{} for _ in range(p)]
         for group in _grouped_basis(keys, dims, diagonal):
             index = {k: i for i, k in enumerate(group)}
             ops = [
-                _operator(group, index, invs[x], lin_polys[x], degree, spec, _NON_SUB, 0)
+                _operator(
+                    group, index, invs[x], lin_polys[x], degree, spec, _NON_SUB, 0, lin_powers[x]
+                )
                 for x in range(p)
             ]
-            rhs = [_coords(left_linear(invs[x], rn[x]), group, index) for x in range(p)]
+            rhs = [_coords(pulled[x], group, index) for x in range(p)]
             sols = _solve_cycles(base, ops, rhs, one, True, f"cycle solve at degree {degree}")
             for x in range(p):
-                hbar[x] = hbar[x].add(_poly_from_coords(dims, degree, group, sols[x], mode))
+                hbar_coeffs[x].update(zip(group, sols[x]))
+        hbar = [PolyMap._trusted(dims, dims, degree, mode, c) for c in hbar_coeffs]
 
         hn = []
         for x in range(p):
@@ -440,7 +484,7 @@ def build_taylor(
             fx = base.image(x)
             pn = (
                 rn[x]
-                .add(compose(hn[fx], lin_polys[x], degree))
+                .add(lin_powers[x].compose(hn[fx]))
                 .sub(left_linear(mats[x], hn[x]))
             )
             scale = pn.max_abs()
@@ -458,7 +502,7 @@ def build_taylor(
 
     for x in range(p):
         fx = base.image(x)
-        lhs = compose(h[fx], ext.fiber(x), n_taylor)
+        lhs = fiber_powers[x].compose(h[fx])
         rhs = compose(p_poly[x], h[x], n_taylor)
         diff = lhs.sub(rhs)
         if not diff.vanishes(float_tol, lhs.max_abs()):

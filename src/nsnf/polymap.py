@@ -120,9 +120,14 @@ def monomial_key(coord: int, exponents: tuple[int, ...]):
 
 
 class PolyMap:
-    """A polynomial map with no constant term between graded spaces."""
+    """A polynomial map with no constant term between graded spaces.
 
-    __slots__ = ("source", "target", "cap", "mode", "coeffs")
+    The public constructor validates every term; maps computed from maps
+    that were already validated go through `_trusted`.  `coeffs` is never
+    changed after construction.
+    """
+
+    __slots__ = ("source", "target", "cap", "mode", "coeffs", "_terms")
 
     def __init__(
         self,
@@ -160,6 +165,20 @@ class PolyMap:
         self.cap = cap
         self.mode = mode
         self.coeffs = clean
+        self._terms = None
+
+    @classmethod
+    def _trusted(cls, source, target, cap, mode, coeffs) -> "PolyMap":
+        """Internal constructor for coefficients computed from validated maps:
+        no validation, but zero coefficients are still dropped."""
+        self = object.__new__(cls)
+        self.source = source
+        self.target = target
+        self.cap = cap
+        self.mode = mode
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        self._terms = None
+        return self
 
     # -- basics ---------------------------------------------------------
 
@@ -192,6 +211,12 @@ class PolyMap:
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: monomial_key(*kv[0]))
 
+    def _sorted_terms(self):
+        """sorted_items(), computed once per map."""
+        if self._terms is None:
+            self._terms = self.sorted_items()
+        return self._terms
+
     def map_coeffs(self, fn, mode=None) -> "PolyMap":
         return PolyMap(
             self.source,
@@ -214,10 +239,17 @@ class PolyMap:
             w = out.get(k)
             out[k] = v if w is None else w + v
         out = {k: v for k, v in out.items() if sum(k[1]) <= cap}
-        return PolyMap(self.source, self.target, cap, self.mode, out)
+        return PolyMap._trusted(self.source, self.target, cap, self.mode, out)
 
     def sub(self, other: "PolyMap", cap: int | None = None) -> "PolyMap":
-        return self.add(other.scale(-1), cap=cap)
+        self._check_compatible(other)
+        cap = cap if cap is not None else max(self.cap, other.cap)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            w = out.get(k)
+            out[k] = -v if w is None else w - v
+        out = {k: v for k, v in out.items() if sum(k[1]) <= cap}
+        return PolyMap._trusted(self.source, self.target, cap, self.mode, out)
 
     def scale(self, factor) -> "PolyMap":
         factor = _check_scalar(factor, self.mode)
@@ -231,11 +263,13 @@ class PolyMap:
 
     def homogeneous_part(self, degree: int) -> "PolyMap":
         kept = {k: v for k, v in self.coeffs.items() if sum(k[1]) == degree}
-        return PolyMap(self.source, self.target, max(degree, 1), self.mode, kept)
+        return PolyMap._trusted(self.source, self.target, max(degree, 1), self.mode, kept)
 
     def jet(self, cap: int) -> "PolyMap":
+        if cap < 1:
+            raise ValueError(f"degree cap must be >= 1, got {cap}")
         kept = {k: v for k, v in self.coeffs.items() if sum(k[1]) <= cap}
-        return PolyMap(self.source, self.target, cap, self.mode, kept)
+        return PolyMap._trusted(self.source, self.target, cap, self.mode, kept)
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
@@ -265,7 +299,7 @@ class PolyMap:
             raise ValueError("point dimension mismatch")
         zero = Fraction(0) if self.mode == RATIONAL else 0.0
         out = [zero] * self.target.total
-        for (coord, exps), value in self.sorted_items():
+        for (coord, exps), value in self._sorted_terms():
             term = value
             for x, e in zip(point, exps):
                 if e:
@@ -327,10 +361,14 @@ def class_basis(
     spec: SpectrumSpec, dims: GradedDims, degree: int, classes: Iterable[TypeClass]
 ) -> list[tuple[int, tuple[int, ...]]]:
     classes = frozenset(classes)
+    inside: dict[tuple, bool] = {}  # each distinct type is classified once
     out = []
     for c, exps in monomial_basis(dims, degree):
-        t = HomogeneousType(dims.block_of[c], dims.block_degrees(exps))
-        if classify_type(spec, t) in classes:
+        label = (dims.block_of[c], dims.block_degrees(exps))
+        keep = inside.get(label)
+        if keep is None:
+            keep = inside[label] = classify_type(spec, HomogeneousType(*label)) in classes
+        if keep:
             out.append((c, exps))
     return out
 
@@ -352,53 +390,97 @@ def _poly_mul(p: dict, q: dict, cap: int) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
+class Powers:
+    """Memoized images t^beta -> prod_j G_j^{beta_j} of the monomials under
+    one inner map G, truncated at a cap: the one composition kernel.
+
+    Each image is one `_poly_mul` of memoized entries, associated as
+    (G_{j1}^{b1} G_{j2}^{b2}) G_{j3}^{b3} ... with G_j^b = G_j^{b-1} G_j, so
+    float results do not depend on which images were built before.  An
+    image's terms of degree at most n do not depend on the cap once the cap
+    is at least n, so one table serves every degree up to its cap.
+    """
+
+    def __init__(self, inner: PolyMap, cap: int) -> None:
+        if cap < 1:
+            raise ValueError(f"degree cap must be >= 1, got {cap}")
+        self.inner = inner
+        self.cap = cap
+        self._components: list[dict] = [{} for _ in range(inner.target.total)]
+        for (coord, exps), value in inner.coeffs.items():
+            self._components[coord][exps] = value
+        self._images: dict[tuple[int, ...], dict] = {}
+        self._parts: dict[tuple[tuple[int, ...], int | None], list] = {}
+
+    def image(self, exps: tuple[int, ...]) -> dict:
+        """{exponents: coefficient} of prod_j G_j^{exps_j}; for exps = e_j
+        it is G_j itself, terms above the cap included."""
+        got = self._images.get(exps)
+        if got is not None:
+            return got
+        last = max(j for j, e in enumerate(exps) if e)
+        e = exps[last]
+        rest = exps[:last] + (0,) * (len(exps) - last)
+        if any(rest):
+            power = (0,) * last + (e,) + (0,) * (len(exps) - last - 1)
+            got = _poly_mul(self.image(rest), self.image(power), self.cap)
+        elif e == 1:
+            got = self._components[last]
+        else:
+            lower = exps[:last] + (e - 1,) + exps[last + 1 :]
+            got = _poly_mul(self.image(lower), self._components[last], self.cap)
+        self._images[exps] = got
+        return got
+
+    def part(self, exps: tuple[int, ...], n: int | None) -> list:
+        """(exponents, coefficient) terms of the image of degree n, or of
+        every degree up to the cap when n is None, in the image's order."""
+        key = (exps, n)
+        got = self._parts.get(key)
+        if got is None:
+            if n is None:
+                cap = self.cap
+                got = [(e, v) for e, v in self.image(exps).items() if sum(e) <= cap]
+            else:
+                got = [(e, v) for e, v in self.image(exps).items() if sum(e) == n]
+            self._parts[key] = got
+        return got
+
+    def compose(self, outer: PolyMap, n: int | None = None) -> PolyMap:
+        """outer(G(t)) truncated at the cap, or only its degree-n part."""
+        inner = self.inner
+        if outer.mode != inner.mode:
+            raise ValueError("scalar modes differ in composition")
+        if outer.source.dims != inner.target.dims:
+            raise ValueError("composition shape mismatch")
+        top = self.cap if n is None else n
+        acc: dict = {}
+        for (coord, exps), value in outer.coeffs.items():
+            # no constant terms: an outer monomial only reaches its degree and up
+            if sum(exps) > top:
+                continue
+            for e_out, v in self.part(exps, n):
+                key = (coord, e_out)
+                w = acc.get(key)
+                acc[key] = value * v if w is None else w + value * v
+        return PolyMap._trusted(inner.source, outer.target, top, outer.mode, acc)
+
+
 def compose(outer: PolyMap, inner: PolyMap, cap: int) -> PolyMap:
     """Truncated composition outer(inner(t)) up to total degree cap.
 
     Exact in rational mode: truncation only discards monomials above the cap,
     never rounds what it keeps.
     """
-    if outer.mode != inner.mode:
-        raise ValueError("scalar modes differ in composition")
-    if outer.source.dims != inner.target.dims:
-        raise ValueError("composition shape mismatch")
-    components: list[dict] = [{} for _ in range(inner.target.total)]
-    for (coord, exps), value in inner.coeffs.items():
-        components[coord][exps] = value
+    return Powers(inner, cap).compose(outer)
 
-    power_cache: dict[tuple[int, int], dict] = {}
 
-    def powers(j: int, e: int) -> dict:
-        key = (j, e)
-        got = power_cache.get(key)
-        if got is not None:
-            return got
-        out = components[j] if e == 1 else _poly_mul(powers(j, e - 1), components[j], cap)
-        power_cache[key] = out
-        return out
-
-    acc: dict = {}
-    for (coord, exps), value in outer.coeffs.items():
-        if sum(exps) > cap:
-            continue
-        prod: dict | None = None
-        for j, e in enumerate(exps):
-            if not e:
-                continue
-            factor = powers(j, e)
-            prod = factor if prod is None else _poly_mul(prod, factor, cap)
-            if not prod:
-                break
-        if not prod:
-            continue
-        for e_out, v in prod.items():
-            # the e=1 power shortcut can carry inner terms above the cap
-            if sum(e_out) > cap:
-                continue
-            key = (coord, e_out)
-            w = acc.get(key)
-            acc[key] = value * v if w is None else w + value * v
-    return PolyMap(inner.source, outer.target, cap, outer.mode, acc)
+def compose_part(outer: PolyMap, powers: Powers, n: int) -> PolyMap:
+    """Degree-n part of outer(G(t)) for the inner map G of `powers`; equal to
+    compose(outer, G, cap).homogeneous_part(n) for any cap >= n."""
+    if not 1 <= n <= powers.cap:
+        raise ValueError(f"degree {n} outside 1..{powers.cap}")
+    return powers.compose(outer, n)
 
 
 def left_linear(matrix, pmap: PolyMap, target: GradedDims | None = None) -> PolyMap:
@@ -412,7 +494,7 @@ def left_linear(matrix, pmap: PolyMap, target: GradedDims | None = None) -> Poly
                 key = (r, exps)
                 w = acc.get(key)
                 acc[key] = m * value if w is None else w + m * value
-    return PolyMap(pmap.source, target, pmap.cap, pmap.mode, acc)
+    return PolyMap._trusted(pmap.source, target, pmap.cap, pmap.mode, acc)
 
 
 def invert(pmap: PolyMap, cap: int, float_tol: float = 1e-9) -> PolyMap:
@@ -455,7 +537,7 @@ def project(pmap: PolyMap, spec: SpectrumSpec, classes: Iterable[TypeClass]) -> 
         for k, v in pmap.coeffs.items()
         if classify_type(spec, pmap.type_of(*k)) in classes
     }
-    return PolyMap(pmap.source, pmap.target, pmap.cap, pmap.mode, kept)
+    return PolyMap._trusted(pmap.source, pmap.target, pmap.cap, pmap.mode, kept)
 
 
 def max_off_class(pmap: PolyMap, spec: SpectrumSpec, classes: Iterable[TypeClass]):

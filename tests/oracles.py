@@ -185,3 +185,34 @@ def brute_force_constants(chi):
         terms.append(-mu / (d + 1))
     eps0 = min(terms)
     return d, lam_tilde, lam, mu, eps0
+
+
+def naive_compose(outer, inner, cap):
+    """{(coord, exponents): value} of outer(inner(t)) truncated at cap.
+
+    Every outer monomial is expanded by repeated multiplication of inner
+    components, one factor at a time and with nothing memoized.
+    """
+    n = inner.source.total
+    comps = [{} for _ in range(inner.target.total)]
+    for (coord, exps), value in inner.coeffs.items():
+        comps[coord][exps] = value
+
+    def times(p, q):
+        out = {}
+        for e1, v1 in p.items():
+            for e2, v2 in q.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if sum(e) <= cap:
+                    out[e] = out.get(e, 0) + v1 * v2
+        return out
+
+    acc = {}
+    for (coord, exps), value in outer.coeffs.items():
+        prod = {(0,) * n: value}
+        for j, e in enumerate(exps):
+            for _ in range(e):
+                prod = times(prod, comps[j])
+        for e, v in prod.items():
+            acc[(coord, e)] = acc.get((coord, e), 0) + v
+    return {k: v for k, v in acc.items() if v}

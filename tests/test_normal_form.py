@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nsnf import linsolve
 from nsnf import normal_form as nfm
 from nsnf.base import Extension, FiniteBase
 from nsnf.normal_form import (
@@ -41,6 +42,7 @@ from fixtures import (
 )
 from oracles import (
     certified_partial_sums,
+    cycle_operator,
     degree2_cocycle_data,
     doubled_cycle_pull_solution,
 )
@@ -153,6 +155,43 @@ def test_operator_guard_rejects_leaving_the_group():
     with pytest.raises(nfm.BuildError, match="solve subspace"):
         _t2_squared_operator(FLOAT, 1e-12, 0)
     assert _t2_squared_operator(FLOAT, 1e-12, 1e-9) == [[1.0]]
+
+
+# Three non-diagonal rational steps with zeros in them, and their inhomogeneities.
+CYCLE_MATS = [
+    [[F(1, 2), F(1, 3), F(0)], [F(0), F(-1, 4), F(2, 5)], [F(1, 7), F(0), F(1, 3)]],
+    [[F(0), F(1, 2), F(1, 5)], [F(-1, 3), F(0), F(0)], [F(1, 4), F(1, 6), F(-1, 2)]],
+    [[F(2, 3), F(0), F(-1, 9)], [F(1, 8), F(1, 2), F(0)], [F(0), F(-1, 5), F(1, 4)]],
+]
+CYCLE_RHS = [[F(1), F(-2, 3), F(0)], [F(0), F(5, 7), F(1, 2)], [F(-1, 4), F(0), F(3)]]
+
+
+def _oracle_pull(mats, rhs):
+    """h_j = A_j h_{j+1} + b_j from the oracle's one-traversal operator."""
+    m, c = cycle_operator(mats, rhs)
+    n, q = len(c), len(mats)
+    lhs = [[(F(1) if i == j else F(0)) - m[i][j] for j in range(n)] for i in range(n)]
+    out = [None] * q
+    out[0] = linsolve.solve(lhs, c)
+    for j in range(q - 1, 0, -1):
+        step = [sum((a * v for a, v in zip(row, out[(j + 1) % q])), F(0)) for row in mats[j]]
+        out[j] = [u + v for u, v in zip(step, rhs[j])]
+    return out
+
+
+def test_sparse_cycle_solve_matches_oracle():
+    pulled = nfm._solve_cycle(CYCLE_MATS, CYCLE_RHS, F(1), True)
+    assert pulled == _oracle_pull(CYCLE_MATS, CYCLE_RHS)
+    # push h_{j+1} = A_j h_j + b_j is the pull relation read backwards:
+    # g_k = h_{-k} satisfies g_k = A_{-k-1} g_{k+1} + b_{-k-1}
+    q = len(CYCLE_MATS)
+    order = [(-k - 1) % q for k in range(q)]
+    backward = _oracle_pull([CYCLE_MATS[j] for j in order], [CYCLE_RHS[j] for j in order])
+    pushed = nfm._solve_cycle(CYCLE_MATS, CYCLE_RHS, F(1), False)
+    assert pushed == [backward[-j % q] for j in range(q)]
+    for j in range(q):
+        step = linsolve.mat_vec(CYCLE_MATS[j], pushed[j])
+        assert pushed[(j + 1) % q] == [u + v for u, v in zip(step, CYCLE_RHS[j])]
 
 
 def test_build_is_deterministic():

@@ -10,12 +10,15 @@ from nsnf.polymap import (
     RATIONAL,
     GradedDims,
     PolyMap,
+    Powers,
     compose,
+    compose_part,
     from_records,
     group_inverse,
     identity_map,
     invert,
     is_in_class,
+    left_linear,
     make_group_element,
     monomial_basis,
     project,
@@ -24,6 +27,7 @@ from nsnf.polymap import (
 )
 from nsnf.spectrum import SUB_RESONANCE, SpectrumSpec, TypeClass
 
+from oracles import naive_compose
 from strategies import endo_poly_maps, sub_resonance_elements
 
 D11 = GradedDims([1, 1])
@@ -155,6 +159,55 @@ class TestGroup:
         assert full == identity_map(D11, 4, RATIONAL)
 
 
+class TestTrustedPaths:
+    """Maps built without validation still drop every cancelled term."""
+
+    def test_sub_of_itself_is_zero(self):
+        p = worked_p()
+        assert p.sub(p).coeffs == {}
+        assert p.to_float().sub(p.to_float()).coeffs == {}
+
+    def test_add_cancels_to_no_terms(self):
+        p = worked_p()
+        assert p.add(p.scale(-1)).coeffs == {}
+        q = PolyMap(D11, D11, 2, RATIONAL, {(0, (1, 0)): F(-27, 200)})
+        assert (0, (1, 0)) not in p.add(q).coeffs
+
+    def test_compose_cancellation_leaves_no_zero(self):
+        # (t1^2 - t2^2, t1 t2 - t2^2) o (t1, t1) = 0
+        terms = {(0, (2, 0)): F(1), (0, (0, 2)): F(-1), (1, (1, 1)): F(1), (1, (0, 2)): F(-1)}
+        outer = PolyMap(D11, D11, 2, RATIONAL, terms)
+        inner = PolyMap(D11, D11, 1, RATIONAL, {(0, (1, 0)): F(1), (1, (1, 0)): F(1)})
+        assert compose(outer, inner, 2).coeffs == {}
+        assert compose_part(outer, Powers(inner, 3), 2).coeffs == {}
+        assert compose(outer.to_float(), inner.to_float(), 2).coeffs == {}
+
+    def test_left_linear_cancellation_leaves_no_zero(self):
+        both = PolyMap(D11, D11, 2, RATIONAL, {(0, (0, 2)): F(3), (1, (0, 2)): F(3)})
+        out = left_linear([[F(1), F(-1)], [F(0), F(1)]], both)
+        assert out.coeffs == {(1, (0, 2)): F(3)}
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            PolyMap(D11, D11, 2, RATIONAL, {(0, (2, 1)): F(1)})
+        with pytest.raises(ValueError, match="negative exponent"):
+            PolyMap(D11, D11, 2, RATIONAL, {(0, (2, -1)): F(1)})
+        with pytest.raises(ValueError, match="exceeds cap"):
+            record = {"coord": 0, "exponents": [0, 3], "num": 1, "den": 2}
+            from_records([record], D11, D11, 2, RATIONAL)
+
+    def test_cached_evaluation_order(self):
+        p = compose(worked_p(), shear(), 3)
+        assert p._sorted_terms() == p.sorted_items()
+        assert p._sorted_terms() is p._sorted_terms()
+        point = (F(1, 3), F(-2, 5))
+        expected = [F(0), F(0)]
+        for (coord, exps), value in p.sorted_items():
+            expected[coord] += value * point[0] ** exps[0] * point[1] ** exps[1]
+        assert p.evaluate(point) == expected
+        assert p.evaluate(point) == expected
+
+
 class TestVanishes:
     def test_tiny_rational_is_not_zero(self):
         tiny = PolyMap(D11, D11, 1, RATIONAL, {(0, (1, 0)): F(1, 10**40)})
@@ -266,3 +319,32 @@ def test_compose_truncates_linear_outer_monomials():
     out = compose(outer, inner, 2)
     assert out.coeffs == {(0, (1, 0)): F(2)}
     assert out.degree() <= 2
+
+
+@given(st.sampled_from(DIMS_POOL), st.integers(1, 4), st.data())
+def test_compose_matches_naive_oracle(dims, cap, data):
+    outer = data.draw(endo_poly_maps(dims, 3))
+    inner = data.draw(endo_poly_maps(dims, 3))
+    assert compose(outer, inner, cap).coeffs == naive_compose(outer, inner, cap)
+    approx = compose(outer.to_float(), inner.to_float(), cap)
+    exact = naive_compose(outer, inner, cap)
+    for key in set(exact) | set(approx.coeffs):
+        value = exact.get(key, F(0))
+        assert abs(approx.coeffs.get(key, 0.0) - float(value)) <= 1e-12 * max(1.0, abs(value))
+
+
+@given(st.sampled_from(DIMS_POOL), st.integers(1, 4), st.integers(0, 2), st.data())
+def test_compose_part_is_homogeneous_part_of_compose(dims, cap, extra, data):
+    outer = data.draw(endo_poly_maps(dims, 3))
+    inner = data.draw(endo_poly_maps(dims, 3))
+    for mode_outer, mode_inner in ((outer, inner), (outer.to_float(), inner.to_float())):
+        table = Powers(mode_inner, cap + extra)
+        for n in range(1, cap + 1):
+            part = compose_part(mode_outer, table, n)
+            full = compose(mode_outer, mode_inner, cap).homogeneous_part(n)
+            for key in set(part.coeffs) | set(full.coeffs):
+                a, b = part.coeffs.get(key, 0), full.coeffs.get(key, 0)
+                if mode_outer.mode == RATIONAL:
+                    assert a == b
+                else:
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
