@@ -2,9 +2,12 @@
 
 The Taylor conjugacy is polynomial, but the true coordinate change is only
 C^{N,alpha}; it is reached pointwise as the limit of pulled-back Taylor
-evaluations along the forward orbit.  Forward orbits are computed by exact
-fiber-map evaluation, never by truncated composition, and the normal-form
-composites are undone stepwise through exact degree-d group inverses.
+evaluations along the forward orbit.  Forward orbits are computed by
+binary64 evaluation of the fiber maps themselves, never by truncated
+composition, and the normal-form composites are undone stepwise through the
+degree-d group inverses.  All samples of a call advance in lockstep through
+batched evaluation (`PolyMap.evaluate_batch`), each frozen at its own step
+of convergence.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .normal_form import NormalFormResult
 from .polymap import group_inverse
@@ -68,8 +73,32 @@ class ResidualStats:
     max_one_step_gap: float
 
 
-def _sup(v) -> float:
-    return max((abs(c) for c in v), default=0.0)
+@dataclass
+class Limits:
+    """Invariance limits of a batch of samples, row by row."""
+
+    values: np.ndarray  # (samples, n)
+    iterations: np.ndarray  # (samples,): steps to convergence, 0 at the zero point
+    increments: np.ndarray  # (steps, samples): row k-1 holds step k, nan past a sample's last
+
+
+def _sup(rows: np.ndarray) -> np.ndarray:
+    """Sup norm of every row."""
+    return np.abs(rows).max(axis=1, initial=0.0)
+
+
+def evaluate_at(maps, xs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Row i is maps[xs[i]] evaluated at points[i], one batch per point."""
+    out = np.empty((len(xs), maps[0].target.total))
+    for x in sorted(set(xs.tolist())):
+        rows = xs == x
+        out[rows] = maps[x].evaluate_batch(points[rows])
+    return out
+
+
+def interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ...: pairs of limits in draw order."""
+    return np.stack([a, b], axis=1).reshape(-1, *a.shape[1:])
 
 
 class Evaluator:
@@ -91,6 +120,8 @@ class Evaluator:
         self.p_inv = [
             group_inverse(g, nf.spec, tol=1e-9).poly for g in nf.p_normal
         ]
+        self.p_maps = [g.poly for g in nf.p_normal]
+        self._perm = np.array(self.base.perm, dtype=np.intp)
 
     @property
     def cert_ratio(self) -> float:
@@ -103,62 +134,100 @@ class Evaluator:
     def eval_taylor(self, x: int, t) -> tuple[float, ...]:
         return tuple(self.nf.h_taylor[x].evaluate(tuple(t)))
 
-    def eval_h(self, x: int, t, cfg: EvalConfig | None = None) -> EvalResult:
+    def limits(self, xs, points, cfg: EvalConfig | None = None) -> Limits:
+        """The limit at every row (xs[i], points[i]), all rows in lockstep.
+
+        Rows sharing a start point share the map sequence x, f(x), ...; each
+        row freezes at the first step whose increment falls below tol.  A
+        row still moving after k_max steps raises EvalError, naming the
+        first such row.
+        """
         cfg = cfg or self.cfg
-        t = tuple(float(c) for c in t)
-        if _sup(t) > cfg.radius:
-            raise ValueError(f"|t| = {_sup(t):.4g} exceeds the sample radius {cfg.radius}")
-        if all(c == 0.0 for c in t):
-            return EvalResult(t, 0, True, 0.0, ())
+        xs = np.asarray(xs, dtype=np.intp)
+        points = np.asarray(points, dtype=float).reshape(len(xs), self.ext.dims.total)
+        size = _sup(points)
+        over = np.flatnonzero(size > cfg.radius)
+        if over.size:
+            raise ValueError(
+                f"|t| = {size[over[0]]:.4g} exceeds the sample radius {cfg.radius}"
+            )
+        values = points.copy()
+        iterations = np.zeros(len(xs), dtype=np.intp)
+        steps: list[np.ndarray] = []
+        stuck: list[tuple[int, int, float]] = []
+        h, p_inv = self.nf.h_taylor, self.p_inv
+        for x in sorted(set(xs.tolist())):
+            rows = np.flatnonzero((xs == x) & (size > 0.0))  # the zero point is fixed
+            w = points[rows]
+            prev = h[x].evaluate_batch(w)
+            chain: list[int] = []
+            y = int(x)
+            for k in range(1, cfg.k_max + 1):
+                if not rows.size:
+                    break
+                w = self.ext.fiber(y).evaluate_batch(w)
+                chain.append(y)
+                y = self.base.image(y)
+                u = h[y].evaluate_batch(w)
+                for idx in reversed(chain):
+                    u = p_inv[idx].evaluate_batch(u)
+                delta = _sup(u - prev)
+                if len(steps) < k:
+                    steps.append(np.full(len(xs), np.nan))
+                steps[k - 1][rows] = delta
+                done = delta < cfg.tol  # the stopping rule
+                values[rows[done]] = u[done]
+                iterations[rows[done]] = k
+                moving = ~done
+                rows, w, prev = rows[moving], w[moving], u[moving]
+            else:
+                if rows.size:
+                    stuck.append((int(rows[0]), int(x), float(steps[-1][rows[0]])))
+        if stuck:
+            _, x, last = min(stuck)
+            raise EvalError(
+                f"no convergence within {cfg.k_max} iterations at point {x}; "
+                f"last increment {last:.3e} (hypothesis violated or radius too large)"
+            )
+        increments = np.array(steps) if steps else np.empty((0, len(xs)))
+        return Limits(values, iterations, increments)
 
-        w = t
-        y = x
-        chain: list[int] = []
-        prev = self.nf.h_taylor[x].evaluate(w)
-        increments: list[float] = []
-        for k in range(1, cfg.k_max + 1):
-            w = self.ext.fiber(y).evaluate(w)
-            chain.append(y)
-            y = self.base.image(y)
-            u = self.nf.h_taylor[y].evaluate(w)
-            for idx in reversed(chain):
-                u = self.p_inv[idx].evaluate(u)
-            delta = _sup(tuple(a - b for a, b in zip(u, prev)))
-            increments.append(delta)
-            if delta < cfg.tol:
-                return EvalResult(tuple(u), k, True, delta, tuple(increments))
-            prev = u
-        raise EvalError(
-            f"no convergence within {cfg.k_max} iterations at point {x}; "
-            f"last increment {increments[-1]:.3e} (hypothesis violated or radius too large)"
-        )
+    def eval_h(self, x: int, t, cfg: EvalConfig | None = None) -> EvalResult:
+        """The limit at one point: `limits` on a batch of one."""
+        lim = self.limits([x], [t], cfg)
+        k = int(lim.iterations[0])
+        increments = tuple(lim.increments[:k, 0].tolist())
+        last = increments[-1] if increments else 0.0
+        return EvalResult(tuple(lim.values[0].tolist()), k, True, last, increments)
 
-    def _there(self, x: int, t, cfg: EvalConfig) -> tuple[float, ...]:
-        """The limit one step on: H_{fx}(F_x(t))."""
-        ft = self.ext.fiber(x).evaluate(t)
-        return self.eval_h(self.base.image(x), ft, cfg).value
+    def _here_and_there(self, xs, points, cfg: EvalConfig) -> tuple[Limits, np.ndarray, np.ndarray]:
+        """Limits at (x, t) and one step on, at (f(x), F_x(t)), evaluated as
+        one batch in draw order."""
+        xs = np.asarray(xs, dtype=np.intp)
+        points = np.asarray(points, dtype=float).reshape(len(xs), self.ext.dims.total)
+        ft = evaluate_at(self.ext.fibers, xs, points)
+        lim = self.limits(interleave(xs, self._perm[xs]), interleave(points, ft), cfg)
+        return lim, lim.values[0::2], lim.values[1::2]
 
-    def _residual(self, x: int, here, there) -> float:
-        right = self.nf.p_poly(x).evaluate(here)
-        return _sup(tuple(a - b for a, b in zip(there, right)))
+    def _residuals(self, xs, here, there) -> np.ndarray:
+        """|H_{fx}(F_x(t)) - P_x(H_x(t))| per row."""
+        return _sup(there - evaluate_at(self.p_maps, xs, here))
 
-    def _one_step_gap(self, x: int, here, there) -> float:
-        pulled = self.p_inv[x].evaluate(there)
-        return _sup(tuple(a - b for a, b in zip(here, pulled)))
+    def _one_step_gaps(self, xs, here, there) -> np.ndarray:
+        """|H_x(t) - P_x^{-1}(H_{fx}(F_x(t)))| per row."""
+        return _sup(here - evaluate_at(self.p_inv, xs, there))
 
     def residual(self, x: int, t, cfg: EvalConfig | None = None) -> float:
         """Defect of the conjugacy identity at the converged limit."""
-        cfg = cfg or self.cfg
-        t = tuple(float(c) for c in t)
-        there = self._there(x, t, cfg)
-        return self._residual(x, self.eval_h(x, t, cfg).value, there)
+        xs = np.array([x], dtype=np.intp)
+        _, here, there = self._here_and_there(xs, [t], cfg or self.cfg)
+        return float(self._residuals(xs, here, there)[0])
 
     def one_step_gap(self, x: int, t, cfg: EvalConfig | None = None) -> float:
         """Single-step invariance: H_x(t) against P_x^{-1}(H_{fx}(F_x(t)))."""
-        cfg = cfg or self.cfg
-        t = tuple(float(c) for c in t)
-        there = self._there(x, t, cfg)
-        return self._one_step_gap(x, self.eval_h(x, t, cfg).value, there)
+        xs = np.array([x], dtype=np.intp)
+        _, here, there = self._here_and_there(xs, [t], cfg or self.cfg)
+        return float(self._one_step_gaps(xs, here, there)[0])
 
     def order_of_contact(
         self,
@@ -182,13 +251,11 @@ class Evaluator:
             radii = [cfg.radius * 2.0 ** (-j) for j in range(4)]
         radii = tuple(float(r) for r in radii)
 
-        gaps = []
-        for r in radii:
-            t = tuple(r * c for c in direction)
-            limit = self.eval_h(x, t, cfg).value
-            jet = self.eval_taylor(x, t)
-            gaps.append(_sup(tuple(a - b for a, b in zip(limit, jet))))
-        gaps = tuple(gaps)
+        points = np.array([[r * c for c in direction] for r in radii])
+        points = points.reshape(len(radii), self.ext.dims.total)
+        limit = self.limits([x] * len(radii), points, cfg).values
+        jet = self.nf.h_taylor[x].evaluate_batch(points)
+        gaps = tuple(_sup(limit - jet).tolist())
 
         floor = 100.0 * cfg.tol
         usable = [(r, g) for r, g in zip(radii, gaps) if g > floor]
@@ -203,6 +270,21 @@ class Evaluator:
         slope = sxy / sxx
         return OrderFit(slope, my - slope * mx, radii, gaps, False)
 
+    def sample_points(self, seed: int, samples: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """A deterministic ball sample: base points uniformly, fiber vectors
+        uniformly from the Euclidean ball of the radius (which keeps the sup
+        norm inside it too), drawn from random.Random(seed)."""
+        rng = random.Random(seed)
+        n = self.ext.dims.total
+        xs, points = [], []
+        for _ in range(samples):
+            xs.append(rng.randrange(self.base.p))
+            raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
+            nrm = math.sqrt(sum(c * c for c in raw)) or 1.0
+            scale = radius * rng.random() ** (1.0 / n) / nrm
+            points.append([scale * c for c in raw])
+        return np.array(xs, dtype=np.intp), np.array(points, dtype=float).reshape(samples, n)
+
     def residual_stats(
         self,
         seed: int = 0,
@@ -210,45 +292,26 @@ class Evaluator:
         cfg: EvalConfig | None = None,
         one_step_every: int = 20,
     ) -> ResidualStats:
-        """Conjugacy residuals over a deterministic ball sample.
-
-        Points are drawn uniformly over base points; fiber vectors uniformly
-        from the Euclidean ball of the configured radius (which keeps the
-        sup norm inside it too).  The same seed reproduces the same stats.
-        """
+        """Conjugacy residuals over the deterministic ball sample of
+        `sample_points`; the same seed reproduces the same stats."""
         cfg = cfg or self.cfg
-        rng = random.Random(seed)
-        n = self.ext.dims.total
-        total = 0.0
-        worst = 0.0
-        worst_iter = 0
-        worst_gap = 0.0
-        ratios: list[float] = []
-        for j in range(samples):
-            x = rng.randrange(self.base.p)
-            raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
-            nrm = math.sqrt(sum(c * c for c in raw)) or 1.0
-            scale = cfg.radius * rng.random() ** (1.0 / n) / nrm
-            t = tuple(scale * c for c in raw)
+        xs, points = self.sample_points(seed, samples, cfg.radius)
+        lim, here, there = self._here_and_there(xs, points, cfg)
+        residuals = self._residuals(xs, here, there).tolist()
+        checked = slice(None, None, one_step_every) if one_step_every else slice(0)
+        gaps = self._one_step_gaps(xs[checked], here[checked], there[checked])
 
-            res = self.eval_h(x, t, cfg)
-            worst_iter = max(worst_iter, res.iterations)
-            for d1, d2 in zip(res.increments, res.increments[1:]):
-                if d1 > 100.0 * cfg.tol and d2 > 100.0 * cfg.tol:
-                    ratios.append(d2 / d1)
-            there = self._there(x, t, cfg)
-            r = self._residual(x, res.value, there)
-            total += r
-            worst = max(worst, r)
-            if one_step_every and j % one_step_every == 0:
-                worst_gap = max(worst_gap, self._one_step_gap(x, res.value, there))
+        inc = lim.increments[:, 0::2]
+        floor = 100.0 * cfg.tol
+        both = (inc[:-1] > floor) & (inc[1:] > floor)
+        ratios = inc[1:][both] / inc[:-1][both]
         return ResidualStats(
             samples=samples,
             seed=seed,
-            max_residual=worst,
-            mean_residual=total / max(samples, 1),
-            max_iterations=worst_iter,
-            max_increment_ratio=max(ratios) if ratios else None,
+            max_residual=max(residuals, default=0.0),
+            mean_residual=sum(residuals) / max(samples, 1),
+            max_iterations=int(lim.iterations[0::2].max(initial=0)),
+            max_increment_ratio=float(ratios.max()) if ratios.size else None,
             cert_ratio=self.cert_ratio,
-            max_one_step_gap=worst_gap,
+            max_one_step_gap=float(gaps.max(initial=0.0)),
         )

@@ -20,6 +20,8 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from . import linsolve
 from .spectrum import (
     SUB_RESONANCE,
@@ -127,7 +129,7 @@ class PolyMap:
     changed after construction.
     """
 
-    __slots__ = ("source", "target", "cap", "mode", "coeffs", "_terms")
+    __slots__ = ("source", "target", "cap", "mode", "coeffs", "_terms", "_compiled")
 
     def __init__(
         self,
@@ -166,6 +168,7 @@ class PolyMap:
         self.mode = mode
         self.coeffs = clean
         self._terms = None
+        self._compiled = None
 
     @classmethod
     def _trusted(cls, source, target, cap, mode, coeffs) -> "PolyMap":
@@ -178,6 +181,7 @@ class PolyMap:
         self.mode = mode
         self.coeffs = {k: v for k, v in coeffs.items() if v}
         self._terms = None
+        self._compiled = None
         return self
 
     # -- basics ---------------------------------------------------------
@@ -307,12 +311,52 @@ class PolyMap:
             out[coord] = out[coord] + term
         return out
 
+    def evaluate_batch(self, points) -> np.ndarray:
+        """Values at the rows of an (m, source) binary64 array, as an
+        (m, target) array; float maps only.  Equal to `evaluate` row by row
+        up to round-off: powers are repeated products and each coordinate
+        is one matrix product over the monomials."""
+        if self.mode != FLOAT:
+            raise ValueError("batch evaluation needs a float map")
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.source.total:
+            raise ValueError("point dimension mismatch")
+        if self._compiled is None:
+            self._compiled = _compile(self)
+        exps, coef, top = self._compiled
+        if not top:
+            return np.zeros((len(points), self.target.total))
+        cols = points.T
+        table = np.empty((top + 1,) + cols.shape)  # (power, variable, row)
+        table[0] = 1.0
+        table[1] = cols
+        for e in range(2, top + 1):
+            np.multiply(table[e - 1], cols, out=table[e])
+        mono = table[exps[:, 0], 0]
+        for j in range(1, exps.shape[1]):
+            mono *= table[exps[:, j], j]
+        return mono.T @ coef
+
     # -- class structure ------------------------------------------------
 
     def type_of(self, coord: int, exps: tuple[int, ...]) -> HomogeneousType:
         if self.source.dims != self.target.dims:
             raise ValueError("homogeneous types need an endomorphism shape")
         return HomogeneousType(self.target.block_of[coord], self.source.block_degrees(exps))
+
+
+def _compile(pmap: PolyMap) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exponent table (monomial, variable), coefficient matrix (monomial,
+    target coordinate) and largest single exponent of a float map,
+    monomials in sorted order."""
+    index: dict[tuple[int, ...], int] = {}
+    for (_, e), _value in pmap._sorted_terms():
+        index.setdefault(e, len(index))
+    exps = np.array(list(index), dtype=np.intp).reshape(len(index), pmap.source.total)
+    coef = np.zeros((len(index), pmap.target.total))
+    for (coord, e), value in pmap.coeffs.items():
+        coef[index[e], coord] = value
+    return exps, coef, int(exps.max(initial=0))
 
 
 def zero_map(source: GradedDims, target: GradedDims, cap: int, mode: str) -> PolyMap:

@@ -9,8 +9,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .base import Extension
-from .evaluator import EvalConfig, Evaluator
+from .evaluator import EvalConfig, Evaluator, evaluate_at, interleave
 from .normal_form import NormalFormResult, ResonanceResult, build_taylor, pinned_lift
 from .polymap import GROUP_TAGS, PolyMap, compose, invert, project, vanishing
 from .spectrum import TypeClass, criticality, degree_bound
@@ -218,20 +220,22 @@ def check_centralizer(
     if samples:
         ev = Evaluator(nf, cfg)
         rng = random.Random(seed)
-        worst = 0.0
         n = dims.total
         radius = ev.cfg.radius / 2.0
-        g_float = ext_g.to_float()
-        q_float = [q.to_float() for q in q_maps]
+        xs, points = [], []
         for _ in range(samples):
-            x = rng.randrange(f.p)
+            xs.append(rng.randrange(f.p))
             raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
             nrm = max(abs(c) for c in raw) or 1.0
-            t = tuple(radius * rng.random() * c / nrm for c in raw)
-            left = ev.eval_h(g.image(x), g_float.fiber(x).evaluate(t)).value
-            right = q_float[x].evaluate(ev.eval_h(x, t).value)
-            gap = max(abs(a - b) for a, b in zip(left, right))
-            worst = max(worst, gap)
+            points.append([radius * rng.random() * c / nrm for c in raw])
+        xs = np.array(xs, dtype=np.intp)
+        points = np.array(points, dtype=float)
+        # the limit at (g(x), G_x(t)) against Q_x of the limit at (x, t), pairs in draw order
+        g_points = evaluate_at(ext_g.to_float().fibers, xs, points)
+        gx = np.array(g.perm, dtype=np.intp)[xs]
+        lim = ev.limits(interleave(gx, xs), interleave(g_points, points)).values
+        right = evaluate_at([q.to_float() for q in q_maps], xs, lim[1::2])
+        worst = float(np.abs(lim[0::2] - right).max())
         if worst > 10 * ev.cfg.tol:
             return TransitionWitness(
                 tag=witness.tag,

@@ -216,3 +216,33 @@ def naive_compose(outer, inner, cap):
         for e, v in prod.items():
             acc[(coord, e)] = acc.get((coord, e), 0) + v
     return {k: v for k, v in acc.items() if v}
+
+
+def pointwise_limit(ev, x, t, cfg):
+    """The invariance limit at one point by the per-point loop: exact scalar
+    `PolyMap.evaluate` of every map along the orbit, the whole P^{-1} chain
+    re-applied at every step.
+
+    Returns (value, iterations, increments); value is None when the
+    increments have not fallen below cfg.tol within cfg.k_max steps.
+    """
+    t = tuple(float(c) for c in t)
+    if all(c == 0.0 for c in t):
+        return t, 0, ()
+    w, y = t, x
+    chain = []
+    prev = ev.nf.h_taylor[x].evaluate(w)
+    increments = []
+    for k in range(1, cfg.k_max + 1):
+        w = ev.ext.fiber(y).evaluate(w)
+        chain.append(y)
+        y = ev.base.image(y)
+        u = ev.nf.h_taylor[y].evaluate(w)
+        for idx in reversed(chain):
+            u = ev.p_inv[idx].evaluate(u)
+        delta = max(abs(a - b) for a, b in zip(u, prev))
+        increments.append(delta)
+        if delta < cfg.tol:
+            return tuple(u), k, tuple(increments)
+        prev = u
+    return None, cfg.k_max, tuple(increments)

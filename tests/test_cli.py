@@ -191,3 +191,17 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["constants"]["d"] == 1
+
+
+def test_residual_sweep_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "residual_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--rungs", "2", "--samples", "20"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.strip().splitlines()[-1]
+    assert line.startswith("observed jet-gap order across the ladder: ")
+    # worked_2block.json has N = 3, so the jet gap shrinks like radius^4
+    assert 3.5 <= float(line.rsplit(" ", 1)[1]) <= 4.5

@@ -3,11 +3,15 @@ contact order against the Taylor jet (with a higher-degree build as oracle)."""
 
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nsnf.evaluator import EvalConfig, EvalError, Evaluator
+from nsnf.instance import load_instance
 from nsnf.normal_form import build_taylor
+from nsnf.rand_instances import random_instance
 
 from fixtures import (
     SPEC21,
@@ -16,6 +20,9 @@ from fixtures import (
     three_cycle_extension,
     worked_extension,
 )
+from oracles import pointwise_limit
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def _worked_eval(n_taylor=3, alpha=0, **cfg):
@@ -143,3 +150,69 @@ def test_nonconvergence_raises():
     ev = _worked_eval()
     with pytest.raises(EvalError, match="no convergence"):
         ev.eval_h(0, (0.04, 0.04), EvalConfig(tol=1e-12, k_max=2, radius=0.05))
+
+
+def _shipped_eval(name):
+    inst = load_instance(str(INSTANCES / name))
+    nf = build_taylor(
+        inst.ext,
+        inst.spec,
+        inst.n_taylor,
+        inst.alpha,
+        lift=inst.options.lift_strategy(),
+        force=inst.options.force,
+    )
+    return Evaluator(nf, inst.options.eval_config())
+
+
+def _random_eval(seed):
+    ri = random_instance(seed)
+    return Evaluator(build_taylor(ri.ext, ri.spec, ri.n_taylor, ri.alpha))
+
+
+ORACLE_CASES = {
+    "worked_2block": lambda: _shipped_eval("worked_2block.json"),
+    "three_cycle": lambda: _shipped_eval("three_cycle.json"),
+    # one fiber map is linear: 1-step and multi-step samples in one batch
+    "random_23": lambda: _random_eval(23),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_limits_match_pointwise_oracle(case):
+    ev = ORACLE_CASES[case]()
+    xs, points = ev.sample_points(seed=3, samples=60, radius=ev.cfg.radius)
+    xs = np.append(xs, 0)
+    points = np.vstack([points, np.zeros(points.shape[1])])  # the zero point
+    lim = ev.limits(xs, points)
+    for i, (x, t) in enumerate(zip(xs.tolist(), points)):
+        value, k, increments = pointwise_limit(ev, x, t, ev.cfg)
+        assert lim.iterations[i] == k
+        assert max(abs(a - b) for a, b in zip(lim.values[i], value)) <= 1e-15
+        assert np.all(np.abs(lim.increments[:k, i] - increments) <= 1e-15)
+        assert np.isnan(lim.increments[k:, i]).all()
+    steps = set(lim.iterations[:-1].tolist())
+    assert lim.iterations[-1] == 0
+    if case == "random_23":
+        assert 1 in steps and max(steps) > 1
+
+
+def test_kmax_exhaustion_names_first_failing_sample():
+    ev = _shipped_eval("three_cycle.json")
+    cfg = EvalConfig(tol=ev.cfg.tol, k_max=9, radius=ev.cfg.radius)
+    xs, points = ev.sample_points(seed=15, samples=40, radius=cfg.radius)
+    # residual_stats draws the limit at (x, t), then at (f(x), F_x(t))
+    failing = []
+    for x, t in zip(xs.tolist(), points):
+        there = (ev.base.image(x), ev.ext.fiber(x).evaluate(tuple(t)))
+        for y, s in ((x, t), there):
+            value, _, increments = pointwise_limit(ev, y, s, cfg)
+            if value is None:
+                failing.append((y, increments[-1]))
+    assert failing and failing[0][0] != xs[0]  # not simply the first sample's point
+    x, last = failing[0]
+    with pytest.raises(EvalError) as err:
+        ev.residual_stats(seed=15, samples=40, cfg=cfg)
+    assert str(err.value).startswith(
+        f"no convergence within 9 iterations at point {x}; last increment {last:.3e}"
+    )

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -348,3 +349,39 @@ def test_compose_part_is_homogeneous_part_of_compose(dims, cap, extra, data):
                     assert a == b
                 else:
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@given(st.sampled_from(DIMS_POOL), st.integers(1, 4), st.data())
+def test_evaluate_batch_matches_evaluate(dims, cap, data):
+    drawn = data.draw(endo_poly_maps(dims, cap)).to_float()
+    at_cap = dict(drawn.coeffs)
+    at_cap[data.draw(st.sampled_from(monomial_basis(dims, cap)))] = data.draw(
+        st.floats(-2.0, 2.0).filter(bool)
+    )
+    maps = [
+        zero_map(dims, dims, cap, FLOAT),
+        identity_map(dims, cap, FLOAT),
+        drawn,
+        PolyMap(dims, dims, cap, FLOAT, at_cap),
+    ]
+    rows = data.draw(
+        st.lists(
+            st.lists(st.floats(-1.0, 1.0), min_size=dims.total, max_size=dims.total),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for pmap in maps:
+        batch = pmap.evaluate_batch(np.array(rows))
+        assert batch.shape == (len(rows), dims.total)
+        scale = max(1.0, sum(abs(v) for v in pmap.coeffs.values()))
+        for row, got in zip(rows, batch):
+            want = pmap.evaluate(row)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale
+
+
+def test_evaluate_batch_needs_float_map_and_matching_rows():
+    with pytest.raises(ValueError, match="float"):
+        worked_p().evaluate_batch(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="dimension"):
+        worked_p().to_float().evaluate_batch(np.zeros((1, 3)))
