@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """How much freedom do lifts leave in the computed maps?
 
-Builds one instance repeatedly with seeded lifts, then reports the spread
-of each Taylor coefficient of H and each normal-form coefficient of P
-across the seeds, and checks that every pair of builds differs by an
-exactly sub-resonance transition family.  The spread concentrates on the
-strict sub-resonance terms; the non-sub-resonance Taylor terms and the
-resonance part of P are pinned by the spectrum alone.
+Builds one instance under several seeded lifts, each solved on one shared
+build plan, then reports the spread of each Taylor coefficient of H and
+each normal-form coefficient of P across the seeds, and checks that every
+pair of builds differs by an exactly sub-resonance transition family.
+The spread concentrates on the strict sub-resonance terms; the
+non-sub-resonance Taylor terms and the resonance part of P are pinned by
+the spectrum alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from nsnf.instance import load_instance
-from nsnf.normal_form import build_taylor, seeded_lift
+from nsnf.normal_form import plan_taylor, seeded_lift, solve_taylor
 from nsnf.spectrum import SUB_RESONANCE, TypeClass, classify_type
 from nsnf.verify import check_uniqueness
 
@@ -55,17 +56,11 @@ def main() -> int:
     if inst.mode != "rational":
         ap.error("spread accounting needs an exact rational instance")
 
-    builds = [
-        build_taylor(
-            inst.ext,
-            inst.spec,
-            inst.n_taylor,
-            inst.alpha,
-            lift=seeded_lift(seed),
-            force=inst.options.force,
-        )
-        for seed in range(args.seeds)
-    ]
+    # the lift enters only the right-hand sides: plan once, solve per seed
+    plan = plan_taylor(
+        inst.ext, inst.spec, inst.n_taylor, inst.alpha, force=inst.options.force
+    )
+    builds = [solve_taylor(plan, seeded_lift(seed)) for seed in range(args.seeds)]
 
     for a, b in itertools.combinations(builds, 2):
         witness = check_uniqueness(a, b)

@@ -217,14 +217,7 @@ def _stage_verify(
     failures: list[str] = []
 
     try:
-        other = build_taylor(
-            inst.ext,
-            inst.spec,
-            inst.n_taylor,
-            inst.alpha,
-            lift=seeded_lift(opts.seed + 1),
-            force=opts.force,
-        )
+        other = nf.rebuild(seeded_lift(opts.seed + 1))
         uniq = check_uniqueness(nf, other)
         verdicts["uniqueness"] = witness_json(uniq)
         if not uniq.ok:

@@ -156,18 +156,19 @@ class _SectionSource:
 # -- the conjugation operator and its cycle solves ----------------------
 
 
-def _sparse(matrix):
-    """Rows of a matrix as lists of (column, entry) over its nonzero entries."""
-    return [[(k, v) for k, v in enumerate(row) if v] for row in matrix]
-
-
 def _sparse_vec(rows, vec, zero):
-    """rows . vec, accumulating each row left to right from zero."""
+    """rows . vec, accumulating each row left to right from zero.
+
+    Products with zero entries of vec are skipped: the accumulator starts
+    at +0 and never becomes -0, so adding them changes no bit.
+    """
     out = []
     for row in rows:
         acc = zero
         for k, a in row:
-            acc = acc + a * vec[k]
+            v = vec[k]
+            if v:
+                acc = acc + a * v
         out.append(acc)
     return out
 
@@ -186,57 +187,78 @@ def _sparse_mul(a_rows, b_rows):
     return out
 
 
-def _solve_cycle(mats, rhs, one, pull: bool):
-    """Fixed point of h_j = A_j h_{j+1} + b_j (pull) or h_{j+1} = A_j h_j + b_j
-    (push) around one cycle; indices mod the cycle length."""
-    q = len(mats)
-    n = len(rhs[0])
-    if n == 0:
-        return [[] for _ in range(q)]
-    zero = one * 0
-    rows = [_sparse(a) for a in mats]
-    m = [[(i, one)] for i in range(n)]
-    c = [zero] * n
-    for j in range(q):
-        if pull:
-            c = [u + v for u, v in zip(c, _sparse_vec(m, rhs[j], zero))]
-            m = _sparse_mul(m, rows[j])
-        else:
-            c = [u + v for u, v in zip(_sparse_vec(rows[j], c, zero), rhs[j])]
+class _CycleSystem:
+    """Fixed points of h_j = A_j h_{j+1} + b_j (pull) or h_{j+1} = A_j h_j + b_j
+    (push) around one cycle, indices mod the cycle length q.
+
+    Once around, h_0 = M h_0 + c.  The steps A_j (sparse rows) and the
+    elimination of I - M do not depend on the b_j, so they are set up once;
+    each solve accumulates c in Horner form, solves for h_0 and steps
+    around the cycle.
+    """
+
+    __slots__ = ("rows", "pull", "zero", "order", "system")
+
+    def __init__(self, rows, one, pull: bool):
+        self.rows, self.pull, self.zero = rows, pull, one * 0
+        q = len(rows)
+        # pull: M = A_0 (A_1 (... A_{q-1})), c = b_0 + A_0 (b_1 + ... A_{q-2} b_{q-1});
+        # push: M = A_{q-1} (... (A_1 A_0)), c = b_{q-1} + A_{q-1} (... + A_1 b_0)
+        self.order = list(range(q - 1, -1, -1)) if pull else list(range(q))
+        m = rows[self.order[0]]
+        for j in self.order[1:]:
             m = _sparse_mul(rows[j], m)
-    i_minus_m = linsolve.identity(n, one)
-    for i, row in enumerate(m):
-        for k, v in row:
-            i_minus_m[i][k] = i_minus_m[i][k] - v
-    h0 = linsolve.solve(i_minus_m, c)
-    out = [None] * q
-    out[0] = h0
-    if pull:
-        for j in range(q - 1, 0, -1):
-            nxt = out[(j + 1) % q]
-            out[j] = [u + v for u, v in zip(_sparse_vec(rows[j], nxt, zero), rhs[j])]
-    else:
-        for j in range(q - 1):
-            out[j + 1] = [u + v for u, v in zip(_sparse_vec(rows[j], out[j], zero), rhs[j])]
-    return out
+        i_minus_m = linsolve.identity(len(rows[0]), one)
+        for i, row in enumerate(m):
+            for k, v in row:
+                i_minus_m[i][k] = i_minus_m[i][k] - v
+        self.system = linsolve.Elimination(i_minus_m)
+
+    def _step(self, j, vec, rhs):
+        return [u + v for u, v in zip(_sparse_vec(self.rows[j], vec, self.zero), rhs[j])]
+
+    def solve(self, rhs):
+        """Per-point solutions h_0, ..., h_{q-1} for the inhomogeneities b_j."""
+        q = len(rhs)
+        c = rhs[self.order[0]]
+        for j in self.order[1:]:
+            c = self._step(j, c, rhs)
+        out = [None] * q
+        out[0] = self.system.solve(c)
+        if self.pull:
+            for j in range(q - 1, 0, -1):
+                out[j] = self._step(j, out[(j + 1) % q], rhs)
+        else:
+            for j in range(q - 1):
+                out[j + 1] = self._step(j, out[j], rhs)
+        return out
 
 
-def _solve_cycles(base: FiniteBase, mats, rhs, one, pull: bool, what: str):
-    """Per-point solutions of the fixed points of every base cycle; `mats`
-    and `rhs` are indexed by base point."""
-    out = [None] * base.p
+def _cycle_systems(base: FiniteBase, ops, one, pull: bool, what: str):
+    """(cycle, system) for every base cycle; `ops` holds each base point's
+    operator rows."""
+    systems = []
     for cycle in base.cycles:
         try:
-            sols = _solve_cycle([mats[x] for x in cycle], [rhs[x] for x in cycle], one, pull)
+            systems.append((cycle, _CycleSystem([ops[x] for x in cycle], one, pull)))
         except linsolve.SingularMatrix as err:
             raise BuildError(f"singular {what}, cycle {cycle}") from err
-        for x, vec in zip(cycle, sols):
+    return systems
+
+
+def _solve_cycles(systems, rhs):
+    """Per-point solutions of every cycle system; `rhs` is indexed by base
+    point."""
+    out = [None] * len(rhs)
+    for cycle, system in systems:
+        for x, vec in zip(cycle, system.solve([rhs[x] for x in cycle])):
             out[x] = vec
     return out
 
 
-def _operator(keys, index, pre, post: PolyMap, degree, spec, guard, tol, powers=None):
-    """Matrix of R -> pre . R o post on span(keys), one column per key.
+def _operator_rows(keys, index, pre, post: PolyMap, degree, spec, guard, tol, powers=None):
+    """Sparse rows of the matrix of R -> pre . R o post on span(keys), one
+    column per key: row i lists its nonzero (column, entry) pairs by column.
 
     `pre` is a matrix, `post` a linear map and `powers` its power table
     (built here when not given).  Image terms outside `keys` whose class
@@ -245,9 +267,7 @@ def _operator(keys, index, pre, post: PolyMap, degree, spec, guard, tol, powers=
     """
     dims, mode = post.source, post.mode
     powers = powers or Powers(post, degree)
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    n = len(keys)
-    matrix = [[zero] * n for _ in range(n)]
+    rows: list[list] = [[] for _ in keys]
     guarded: dict[tuple, bool] = {}
     for col, (c, exps) in enumerate(keys):
         img = {}
@@ -262,7 +282,7 @@ def _operator(keys, index, pre, post: PolyMap, degree, spec, guard, tol, powers=
         for k, w in img.items():
             pos = index.get(k)
             if pos is not None:
-                matrix[pos][col] = w
+                rows[pos].append((col, w))
                 continue
             label = (dims.block_of[k[0]], dims.block_degrees(k[1]))
             hit = guarded.get(label)
@@ -272,6 +292,17 @@ def _operator(keys, index, pre, post: PolyMap, degree, spec, guard, tol, powers=
                 leaked.append(w)
         if leaked and not vanishing(leaked, mode, tol, max(map(abs, img.values()))):
             raise BuildError("conjugation left its solve subspace")
+    return rows
+
+
+def _operator(keys, index, pre, post: PolyMap, degree, spec, guard, tol, powers=None):
+    """`_operator_rows` as a dense matrix."""
+    zero = Fraction(0) if post.mode == RATIONAL else 0.0
+    matrix = [[zero] * len(keys) for _ in keys]
+    rows = _operator_rows(keys, index, pre, post, degree, spec, guard, tol, powers)
+    for dense, row in zip(matrix, rows):
+        for col, w in row:
+            dense[col] = w
     return matrix
 
 
@@ -310,6 +341,8 @@ class NormalFormResult:
     certified_exponents: dict[int, Fraction]
     certified: bool
     validation: ValidationReport
+    # the lift-independent part of the build, shared by its rebuilds
+    plan: "TaylorPlan | None" = field(default=None, compare=False, repr=False)
 
     def p_poly(self, x: int) -> PolyMap:
         return self.p_normal[x].poly
@@ -328,7 +361,16 @@ class NormalFormResult:
                     out[(x, degree)] = part
         return out
 
+    def rebuild(self, lift: LiftStrategy) -> "NormalFormResult":
+        """This build's extension solved under another lift, on this
+        result's plan; a result without one (see `to_float`) plans afresh."""
+        plan = self.plan or plan_taylor(
+            self.ext, self.spec, self.n_taylor, self.alpha, force=not self.certified
+        )
+        return solve_taylor(plan, lift)
+
     def to_float(self) -> "NormalFormResult":
+        """The result in binary64; the rational plan is not carried over."""
         if self.ext.mode == FLOAT:
             return self
         return NormalFormResult(
@@ -393,48 +435,112 @@ def _certified_exponent(spec, dims, keys, direction) -> Fraction | None:
     )
 
 
-def build_taylor(
-    ext: Extension,
-    spec: SpectrumSpec,
-    n_taylor: int,
-    alpha,
-    lift: LiftStrategy | None = None,
-    force: bool = False,
-    float_tol: float = 1e-9,
-) -> NormalFormResult:
-    """Solve the conjugacy degree by degree up to the Taylor degree N.
+@dataclass
+class TaylorPlan:
+    """The part of a Taylor build that does not depend on the lift (see
+    `build_taylor`), shared by every `solve_taylor` on it.  Two builds of
+    one extension differ only in their sub-resonance sections, which enter
+    the degree-by-degree solves as right-hand sides."""
 
-    Refuses to run when validation fails, unless `force` is set, in which
-    case the result carries certified=False.  All class and vanishing
-    assertions are exact in rational mode.
+    ext: Extension
+    spec: SpectrumSpec
+    n_taylor: int
+    alpha: Fraction
+    validation: ValidationReport
+    mats: list
+    invs: list
+    lin_polys: list[PolyMap]
+    fiber_powers: list[Powers]
+    certified_exponents: dict[int, Fraction]
+    # degree -> [(group keys, key index, [(cycle, _CycleSystem)])]
+    groups: dict[int, list]
+
+
+def plan_taylor(
+    ext: Extension, spec: SpectrumSpec, n_taylor: int, alpha, force: bool = False
+) -> TaylorPlan:
+    """Validate the extension and set up every lift-independent part of
+    its Taylor build up to degree N.
+
+    Refuses to run when validation fails, unless `force` is set.  The leak
+    guard of every fiber's operator is exact in both modes: with
+    block-diagonal linear parts the forward operator keeps each group
+    exactly.
     """
-    lift = lift or complement_lift()
     alpha = Fraction(alpha)
     validation = validate_extension(ext, spec, n_taylor, alpha)
     if not validation.passed and not force:
         names = ", ".join(c.name for c in validation.failures())
         raise BuildRefused(f"validation failed ({names}); pass force to override")
-
-    constants = validation.constants
-    d = constants.d
+    d = validation.constants.d
     if n_taylor < d:
         raise BuildRefused(f"Taylor degree {n_taylor} is below the degree bound {d}")
 
-    dims, mode, base, p = ext.dims, ext.mode, ext.base, ext.base.p
+    dims, base, p = ext.dims, ext.base, ext.base.p
     mats, invs, lin_polys, _ = _linear_data(ext.fibers, "fiber linear part")
     diagonal = _all_block_diagonal(mats, dims)
-    one = Fraction(1) if mode == RATIONAL else 1.0
+    one = Fraction(1) if ext.mode == RATIONAL else 1.0
+
+    certified_exponents: dict[int, Fraction] = {}
+    groups: dict[int, list] = {}
+    for degree in range(2, n_taylor + 1):
+        keys = class_basis(spec, dims, degree, {TypeClass.NON_SUB})
+        cert = _certified_exponent(spec, dims, keys, "forward")
+        if cert is not None:
+            certified_exponents[degree] = cert
+            if validation.passed and not cert < 0:
+                raise BuildError(
+                    f"certified exponent {cert} at degree {degree} is not negative"
+                )
+        lin_powers = [Powers(lin_polys[x], degree) for x in range(p)]
+        groups[degree] = []
+        for group in _grouped_basis(keys, dims, diagonal):
+            index = {k: i for i, k in enumerate(group)}
+            ops = [
+                _operator_rows(
+                    group, index, invs[x], lin_polys[x], degree, spec, _NON_SUB, 0, lin_powers[x]
+                )
+                for x in range(p)
+            ]
+            systems = _cycle_systems(base, ops, one, True, f"cycle solve at degree {degree}")
+            groups[degree].append((group, index, systems))
+
+    return TaylorPlan(
+        ext=ext,
+        spec=spec,
+        n_taylor=n_taylor,
+        alpha=alpha,
+        validation=validation,
+        mats=mats,
+        invs=invs,
+        lin_polys=lin_polys,
+        # one power table per fiber serves every degree's H o F and the
+        # final check of every solve on this plan
+        fiber_powers=[Powers(ext.fiber(x), n_taylor) for x in range(p)],
+        certified_exponents=certified_exponents,
+        groups=groups,
+    )
+
+
+def solve_taylor(
+    plan: TaylorPlan, lift: LiftStrategy | None = None, float_tol: float = 1e-9
+) -> NormalFormResult:
+    """Solve the conjugacy degree by degree up to N on a plan, under one
+    lift.  All class and vanishing assertions are exact in rational mode."""
+    lift = lift or complement_lift()
+    ext, spec, n_taylor = plan.ext, plan.spec, plan.n_taylor
+    dims, mode, base, p = ext.dims, ext.mode, ext.base, ext.base.p
+    d = plan.validation.constants.d
+    mats, invs, lin_polys = plan.mats, plan.invs, plan.lin_polys
 
     h = [identity_map(dims, n_taylor, mode) for _ in range(p)]
     p_poly = [lin_polys[x].jet(d) for x in range(p)]
     sections = _SectionSource(lift, spec, dims, mode, p, d)
     used_sections: dict[tuple[int, int], PolyMap] = {}
-    certified_exponents: dict[int, Fraction] = {}
 
-    # One power table per fiber serves every degree's H o F and the final
-    # check; the tables of the linear parts serve one degree's operator
-    # columns and hn o L.  P o H needs a fresh table each degree, as H grows.
-    fiber_powers = [Powers(ext.fiber(x), n_taylor) for x in range(p)]
+    # The tables of the linear parts serve one degree's hn o L; P o H needs
+    # a fresh table each degree, as H grows.
+    fiber_powers = plan.fiber_powers
     for degree in range(2, n_taylor + 1):
         lin_powers = [Powers(lin_polys[x], degree) for x in range(p)]
         rn = []
@@ -445,28 +551,10 @@ def build_taylor(
             rn.append(lhs.sub(rhs))
         pulled = [left_linear(invs[x], rn[x]) for x in range(p)]
 
-        keys = class_basis(spec, dims, degree, {TypeClass.NON_SUB})
-        cert = _certified_exponent(spec, dims, keys, "forward")
-        if cert is not None:
-            certified_exponents[degree] = cert
-            if validation.passed and not cert < 0:
-                raise BuildError(
-                    f"certified exponent {cert} at degree {degree} is not negative"
-                )
-
-        # The leak guard is exact in both modes: with block-diagonal linear
-        # parts the forward operator keeps each group exactly.
         hbar_coeffs: list[dict] = [{} for _ in range(p)]
-        for group in _grouped_basis(keys, dims, diagonal):
-            index = {k: i for i, k in enumerate(group)}
-            ops = [
-                _operator(
-                    group, index, invs[x], lin_polys[x], degree, spec, _NON_SUB, 0, lin_powers[x]
-                )
-                for x in range(p)
-            ]
+        for group, index, systems in plan.groups[degree]:
             rhs = [_coords(pulled[x], group, index) for x in range(p)]
-            sols = _solve_cycles(base, ops, rhs, one, True, f"cycle solve at degree {degree}")
+            sols = _solve_cycles(systems, rhs)
             for x in range(p):
                 hbar_coeffs[x].update(zip(group, sols[x]))
         hbar = [PolyMap._trusted(dims, dims, degree, mode, c) for c in hbar_coeffs]
@@ -514,36 +602,54 @@ def build_taylor(
         ext=ext,
         spec=spec,
         n_taylor=n_taylor,
-        alpha=alpha,
+        alpha=plan.alpha,
         h_taylor=tuple(h),
         p_normal=p_group,
         lift_kind=lift.kind,
         lift_seed=lift.seed,
         lift_sections=used_sections,
-        certified_exponents=certified_exponents,
-        certified=validation.passed,
-        validation=validation,
+        certified_exponents=dict(plan.certified_exponents),
+        certified=plan.validation.passed,
+        validation=plan.validation,
+        plan=plan,
     )
+
+
+def build_taylor(
+    ext: Extension,
+    spec: SpectrumSpec,
+    n_taylor: int,
+    alpha,
+    lift: LiftStrategy | None = None,
+    force: bool = False,
+    float_tol: float = 1e-9,
+) -> NormalFormResult:
+    """Solve the conjugacy degree by degree up to the Taylor degree N.
+
+    Refuses to run when validation fails, unless `force` is set, in which
+    case the result carries certified=False.  All class and vanishing
+    assertions are exact in rational mode.
+
+    The build is `plan_taylor` then `solve_taylor`.  Only the sub-resonance
+    sections depend on the lift; the validation, the linear data, the
+    fiber power tables, the solve keys, certified exponents and invariant
+    groups of every degree, and the cycle systems (operator rows and the
+    elimination of I - M) do not.  They make up the plan kept on the
+    result, on which `NormalFormResult.rebuild` solves other lifts.
+    """
+    plan = plan_taylor(ext, spec, n_taylor, alpha, force=force)
+    return solve_taylor(plan, lift, float_tol)
 
 
 def perturb_lift(
     nf: NormalFormResult, seed: int, amplitude: Fraction = Fraction(1, 8)
 ) -> NormalFormResult:
-    """Re-run the build with seeded random sub-resonance offsets added to the
-    sections this result used.  Amplitude zero reproduces the input."""
+    """Re-solve on the result's plan with seeded random sub-resonance
+    offsets added to the sections it used.  Amplitude zero reproduces the
+    input."""
     if amplitude == 0:
-        return build_taylor(
-            nf.ext,
-            nf.spec,
-            nf.n_taylor,
-            nf.alpha,
-            lift=pinned_lift(nf.sub_res_jets()),
-            force=not nf.certified,
-        )
-    strategy = seeded_lift(seed, base_sections=nf.sub_res_jets(), amplitude=amplitude)
-    return build_taylor(
-        nf.ext, nf.spec, nf.n_taylor, nf.alpha, lift=strategy, force=not nf.certified
-    )
+        return nf.rebuild(pinned_lift(nf.sub_res_jets()))
+    return nf.rebuild(seeded_lift(seed, base_sections=nf.sub_res_jets(), amplitude=amplitude))
 
 
 # -- resonance reduction ------------------------------------------------
@@ -604,11 +710,12 @@ def reduce_family(
     used_sections: dict[tuple[int, int], PolyMap] = {}
     certified_exponents: dict[int, Fraction] = {}
 
-    def backward_operators(keys, index, degree):
-        return [
-            _operator(keys, index, dm, a_inv, degree, spec, _LEAVES_STRICT, float_tol)
+    def backward_systems(keys, index, degree):
+        ops = [
+            _operator_rows(keys, index, dm, a_inv, degree, spec, _LEAVES_STRICT, float_tol)
             for dm, a_inv in zip(d_mats, a_inv_polys)
         ]
+        return _cycle_systems(base, ops, one, False, f"reduction solve at degree {degree}")
 
     # Degree 1: strip the strict flag-triangular part of the linear term.
     ss1 = class_basis(spec, dims, 1, {TypeClass.STRICT_SUB})
@@ -616,7 +723,7 @@ def reduce_family(
     if ss1 and not _all_block_diagonal(a_mats, dims):
         certified_exponents[1] = _certified_exponent(spec, dims, ss1, "backward")
         index = {k: i for i, k in enumerate(ss1)}
-        ops = backward_operators(ss1, index, 1)
+        systems = backward_systems(ss1, index, 1)
         rhs = []
         for x in range(base.p):
             u_poly = from_linear(
@@ -630,7 +737,7 @@ def reduce_family(
                 mode,
             )
             rhs.append(_coords(compose(u_poly.scale(-1), a_inv_polys[x], 1), ss1, index))
-        sols = _solve_cycles(base, ops, rhs, one, False, "reduction solve at degree 1")
+        sols = _solve_cycles(systems, rhs)
         h1 = [_poly_from_coords(dims, 1, ss1, vec, mode) for vec in sols]
 
     h_prime = [identity_map(dims, d, mode).add(h1[x]) for x in range(base.p)]
@@ -661,7 +768,7 @@ def reduce_family(
         h_n = [zero_map(dims, dims, degree, mode) for _ in range(base.p)]
         if ss:
             index = {k: i for i, k in enumerate(ss)}
-            ops = backward_operators(ss, index, degree)
+            systems = backward_systems(ss, index, degree)
             rhs = []
             for x in range(base.p):
                 fx = base.image(x)
@@ -678,9 +785,7 @@ def reduce_family(
                     correction.sub(project(w_known, spec, {TypeClass.STRICT_SUB}))
                 )
                 rhs.append(_coords(compose(c_poly, a_inv_polys[x], degree), ss, index))
-            sols = _solve_cycles(
-                base, ops, rhs, one, False, f"reduction solve at degree {degree}"
-            )
+            sols = _solve_cycles(systems, rhs)
             h_n = [_poly_from_coords(dims, degree, ss, vec, mode) for vec in sols]
 
         for x in range(base.p):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .base import Extension
 from .evaluator import EvalConfig, Evaluator, evaluate_at, interleave
-from .normal_form import NormalFormResult, ResonanceResult, build_taylor, pinned_lift
+from .normal_form import NormalFormResult, ResonanceResult, pinned_lift
 from .polymap import GROUP_TAGS, PolyMap, compose, invert, project, vanishing
 from .spectrum import TypeClass, criticality, degree_bound
 
@@ -107,14 +107,7 @@ def check_uniqueness_resonance(
 
 def pinned_rebuild_matches(nf: NormalFormResult) -> bool:
     """Pinning the sub-resonance jets of a build reproduces it bitwise."""
-    again = build_taylor(
-        nf.ext,
-        nf.spec,
-        nf.n_taylor,
-        nf.alpha,
-        lift=pinned_lift(nf.sub_res_jets()),
-        force=not nf.certified,
-    )
+    again = nf.rebuild(pinned_lift(nf.sub_res_jets()))
     return again.h_taylor == nf.h_taylor and again.p_normal == nf.p_normal
 
 

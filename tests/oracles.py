@@ -246,3 +246,50 @@ def pointwise_limit(ev, x, t, cfg):
             return tuple(u), k, tuple(increments)
         prev = u
     return None, cfg.k_max, tuple(increments)
+
+
+def solve_columns_reference(a, b):
+    """Gauss-Jordan elimination of the augmented matrix [a | B], kept as
+    `linsolve.solve_columns` was written before its elimination was
+    recorded for replay: the bitwise reference of the replayed solves."""
+    from nsnf.linsolve import SingularMatrix
+
+    n = len(a)
+    if n == 0:
+        return []
+    if any(len(row) != n for row in a) or len(b) != n:
+        raise ValueError("shape mismatch in linear solve")
+    exact = isinstance(a[0][0], Fraction)
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    width = len(aug[0])
+    for col in range(n):
+        pivot_row = None
+        if exact:
+            for r in range(col, n):
+                if aug[r][col] != 0:
+                    pivot_row = r
+                    break
+        else:
+            best = 0.0
+            for r in range(col, n):
+                mag = abs(aug[r][col])
+                if mag > best:
+                    best = mag
+                    pivot_row = r
+        if pivot_row is None:
+            raise SingularMatrix(f"singular system at column {col}")
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = aug[r][col]
+            if not factor:
+                continue
+            scale = factor / pivot
+            row_r, row_c = aug[r], aug[col]
+            for j in range(col, width):
+                if row_c[j]:
+                    row_r[j] = row_r[j] - scale * row_c[j]
+    return [[aug[i][n + j] / aug[i][i] for j in range(len(b[0]))] for i in range(n)]

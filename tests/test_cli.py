@@ -205,3 +205,16 @@ def test_residual_sweep_script_runs():
     assert line.startswith("observed jet-gap order across the ladder: ")
     # worked_2block.json has N = 3, so the jet gap shrinks like radius^4
     assert 3.5 <= float(line.rsplit(" ", 1)[1]) <= 4.5
+
+
+def test_lift_spread_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "lift_spread.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--seeds", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "3 builds: all pairwise transitions are sub-resonance, as required"
+    assert any(line.startswith("P: ") for line in lines)

@@ -1,12 +1,14 @@
 """Degree-by-degree Taylor builds and resonance reduction against frozen
 closed forms and independent series / doubled-cycle oracles."""
 
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from nsnf import linsolve
+from nsnf import cli, linsolve
 from nsnf import normal_form as nfm
 from nsnf.base import Extension, FiniteBase
 from nsnf.normal_form import (
@@ -30,6 +32,7 @@ from nsnf.polymap import (
     identity_map,
     make_group_element,
 )
+from nsnf.rand_instances import random_instance
 from nsnf.spectrum import SpectrumSpec, TypeClass
 
 from fixtures import (
@@ -179,15 +182,20 @@ def _oracle_pull(mats, rhs):
     return out
 
 
+def _rows(mats):
+    """Sparse rows of each matrix, the form the cycle kernel takes."""
+    return [[[(k, v) for k, v in enumerate(row) if v] for row in m] for m in mats]
+
+
 def test_sparse_cycle_solve_matches_oracle():
-    pulled = nfm._solve_cycle(CYCLE_MATS, CYCLE_RHS, F(1), True)
+    pulled = nfm._CycleSystem(_rows(CYCLE_MATS), F(1), True).solve(CYCLE_RHS)
     assert pulled == _oracle_pull(CYCLE_MATS, CYCLE_RHS)
     # push h_{j+1} = A_j h_j + b_j is the pull relation read backwards:
     # g_k = h_{-k} satisfies g_k = A_{-k-1} g_{k+1} + b_{-k-1}
     q = len(CYCLE_MATS)
     order = [(-k - 1) % q for k in range(q)]
     backward = _oracle_pull([CYCLE_MATS[j] for j in order], [CYCLE_RHS[j] for j in order])
-    pushed = nfm._solve_cycle(CYCLE_MATS, CYCLE_RHS, F(1), False)
+    pushed = nfm._CycleSystem(_rows(CYCLE_MATS), F(1), False).solve(CYCLE_RHS)
     assert pushed == [backward[-j % q] for j in range(q)]
     for j in range(q):
         step = linsolve.mat_vec(CYCLE_MATS[j], pushed[j])
@@ -252,6 +260,88 @@ def test_lift_section_validation():
     non_sub = PolyMap(D11, D11, 2, RATIONAL, {(1, (1, 1)): F(1)})
     with pytest.raises(ValueError, match="class"):
         build_taylor(ext, SPEC21, 3, 0, lift=pinned_lift({(0, 2): non_sub}))
+
+
+# -- one plan per extension --------------------------------------------
+
+
+def _plan_cases():
+    ri = random_instance(15)
+    return {
+        "worked_2block": (worked_extension(RATIONAL), SPEC21, 3, 0),
+        "three_cycle": (three_cycle_extension(), SPEC21, 3, 0),
+        "random_15": (ri.ext, ri.spec, ri.n_taylor, ri.alpha),
+    }
+
+
+def _exact(nf):
+    """H and P term by term; floats by their bit pattern."""
+    def terms(poly):
+        return sorted(
+            (k, v.hex() if isinstance(v, float) else v) for k, v in poly.coeffs.items()
+        )
+
+    return [terms(h) for h in nf.h_taylor], [terms(g.poly) for g in nf.p_normal]
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("case", ["worked_2block", "three_cycle", "random_15"])
+def test_rebuild_on_plan_equals_fresh_build(case, mode):
+    ext, spec, n, alpha = _plan_cases()[case]
+    if mode == FLOAT:
+        ext = ext.to_float()
+    nf = build_taylor(ext, spec, n, alpha)
+    seeded = seeded_lift(7)
+    on_plan = nf.rebuild(seeded)
+    fresh = build_taylor(ext, spec, n, alpha, lift=seeded)
+    assert on_plan.plan is nf.plan
+    assert fresh.plan is not nf.plan
+    assert on_plan.lift_sections, "seed 7 should draw a nonzero section"
+    assert _exact(on_plan) != _exact(nf)
+    assert _exact(on_plan) == _exact(fresh)
+    pinned = pinned_lift(fresh.sub_res_jets())
+    assert _exact(nf.rebuild(pinned)) == _exact(build_taylor(ext, spec, n, alpha, lift=pinned))
+    assert _exact(nf.rebuild(pinned)) == _exact(fresh)
+
+
+def test_validation_runs_once_per_all_run(monkeypatch, tmp_path):
+    calls = []
+    real = nfm.validate_extension
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nfm, "validate_extension", counted)
+    monkeypatch.setattr(cli, "validate_extension", counted)
+    path = Path(__file__).resolve().parent.parent / "instances" / "three_cycle.json"
+    out = tmp_path / "report.json"
+    assert cli.main(["all", str(path), "--out", str(out)]) == 0
+    verdicts = json.loads(out.read_text())["verification"]
+    assert verdicts["pinned_rebuild"]["ok"] and verdicts["uniqueness"]["ok"]
+    assert len(calls) == 1
+
+
+def test_perturb_float_copy_plans_in_float(monkeypatch):
+    nf = build_taylor(three_cycle_extension(), SPEC21, 3, 0, lift=seeded_lift(2))
+    flt = nf.to_float()
+    assert flt.plan is None
+    solved = []
+    real = nfm.solve_taylor
+
+    def recording(plan, *args, **kwargs):
+        solved.append(plan)
+        return real(plan, *args, **kwargs)
+
+    monkeypatch.setattr(nfm, "solve_taylor", recording)
+    moved = perturb_lift(flt, seed=3)
+    assert [p.ext.mode for p in solved] == [FLOAT]
+    assert solved[0] is not nf.plan and moved.plan is solved[0]
+    assert moved.ext.mode == FLOAT
+    assert all(h.mode == FLOAT for h in moved.h_taylor)
+    lift = seeded_lift(3, base_sections=flt.sub_res_jets())
+    fresh = build_taylor(flt.ext, SPEC21, 3, 0, lift=lift)
+    assert _exact(moved) == _exact(fresh)
 
 
 # -- scalar base case ---------------------------------------------------
