@@ -9,6 +9,7 @@ evaluation failure, 4 verification failure, 5 parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -67,7 +68,10 @@ def _note(text: str) -> None:
     print(text, file=sys.stderr)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args does
+    not change it."""
     ap = argparse.ArgumentParser(
         prog="nsnf",
         description="Polynomial normal forms for contracting extensions over finite bases.",

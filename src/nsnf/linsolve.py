@@ -3,9 +3,10 @@
 Gauss-Jordan elimination with partial pivoting; exact mode pivots on the
 first nonzero entry so no rounding is introduced.  One elimination is
 recorded per matrix and replayed on every right-hand side.  Matrices are
-lists of row lists.  Everything here is tiny (cycle solves and block
-inversions), so no external linear algebra is pulled in and both scalar
-modes share one code path.
+lists of row lists; the elimination itself works on sparse rows, since
+cycle systems are mostly zeros.  Everything here is small (cycle solves
+and block inversions), so no external linear algebra is pulled in and
+both scalar modes share one code path.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ class Elimination:
     (row, factor) updates made with the pivot row; replaying them on a
     right-hand side performs the same operations in the same order as
     eliminating the augmented matrix, so solutions are bitwise equal.
+
+    The elimination runs on sparse rows and touches only nonzero entries:
+    the dense loop it replaces reads zeros only to skip them, or to
+    subtract from them, and a fill-in entry here is `zero - scale * v` as
+    there.  Entries that become exactly zero are dropped.
     """
 
     __slots__ = ("steps", "pivots")
@@ -76,19 +82,34 @@ class Elimination:
         n = len(a)
         if any(len(row) != n for row in a):
             raise ValueError("shape mismatch in linear solve")
-        exact = n > 0 and isinstance(a[0][0], Fraction)
-        work = [list(row) for row in a]
+        zero = Fraction(0) if n > 0 and isinstance(a[0][0], Fraction) else 0.0
+        self._eliminate([{j: v for j, v in enumerate(row) if v} for row in a], zero)
+
+    @classmethod
+    def of_rows(cls, rows, zero) -> "Elimination":
+        """The elimination of the square matrix whose row i is the dict
+        rows[i] of its nonzero entries {column: value}; `zero` is the
+        scalar mode's zero.  The rows are consumed."""
+        self = object.__new__(cls)
+        self._eliminate(rows, zero)
+        return self
+
+    def _eliminate(self, work, zero):
+        n = len(work)
+        exact = isinstance(zero, Fraction)
+        # rows with a nonzero entry in each column
+        in_col = [set() for _ in range(n)]
+        for r, row in enumerate(work):
+            for j in row:
+                in_col[j].add(r)
         steps = []
         for col in range(n):
             pivot_row = None
             if exact:
-                for r in range(col, n):
-                    if work[r][col] != 0:
-                        pivot_row = r
-                        break
+                pivot_row = min((r for r in in_col[col] if r >= col), default=None)
             else:
                 best = 0.0
-                for r in range(col, n):
+                for r in sorted(r for r in in_col[col] if r >= col):
                     mag = abs(work[r][col])
                     if mag > best:
                         best = mag
@@ -96,23 +117,36 @@ class Elimination:
             if pivot_row is None:
                 raise SingularMatrix(f"singular system at column {col}")
             if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
+                upper, lower = work[col], work[pivot_row]
+                for j in upper:
+                    in_col[j].discard(col)
+                for j in lower:
+                    in_col[j].discard(pivot_row)
+                for j in upper:
+                    in_col[j].add(pivot_row)
+                for j in lower:
+                    in_col[j].add(col)
+                work[col], work[pivot_row] = lower, upper
             row_c = work[col]
             pivot = row_c[col]
+            tail = [(j, v) for j, v in row_c.items() if j > col]
             updates = []
-            for r in range(n):
+            for r in sorted(in_col[col]):
                 if r == col:
                     continue
-                factor = work[r][col]
-                if not factor:
-                    continue
-                scale = factor / pivot
-                updates.append((r, scale))
-                # column col of row r is never read again
                 row_r = work[r]
-                for j in range(col + 1, n):
-                    if row_c[j]:
-                        row_r[j] = row_r[j] - scale * row_c[j]
+                # column col of row r is never read again
+                scale = row_r.pop(col) / pivot
+                updates.append((r, scale))
+                for j, v in tail:
+                    w = row_r.get(j)
+                    w = (zero if w is None else w) - scale * v
+                    if w:
+                        row_r[j] = w
+                        in_col[j].add(r)
+                    elif j in row_r:
+                        del row_r[j]
+                        in_col[j].discard(r)
             steps.append((pivot_row, updates))
         self.steps = steps
         self.pivots = [work[i][i] for i in range(n)]

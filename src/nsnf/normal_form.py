@@ -42,7 +42,6 @@ from .spectrum import (
     HomogeneousType,
     SpectrumSpec,
     TypeClass,
-    classify_type,
     degree_bound,
     phi_contraction_bound,
 )
@@ -148,8 +147,8 @@ class _SectionSource:
         for (c, exps) in section.coeffs:
             if sum(exps) != degree:
                 raise ValueError(f"lift section for degree {degree} is not homogeneous")
-            t = HomogeneousType(self.dims.block_of[c], self.dims.block_degrees(exps))
-            if classify_type(self.spec, t) not in self.classes:
+            block, s = self.dims.block_of[c], self.dims.block_degrees(exps)
+            if self.spec.type_class(block, s) not in self.classes:
                 raise ValueError("lift section leaves its resonance class")
 
 
@@ -208,11 +207,14 @@ class _CycleSystem:
         m = rows[self.order[0]]
         for j in self.order[1:]:
             m = _sparse_mul(rows[j], m)
-        i_minus_m = linsolve.identity(len(rows[0]), one)
+        zero = self.zero
+        i_minus_m = []
         for i, row in enumerate(m):
+            entries = {i: one}
             for k, v in row:
-                i_minus_m[i][k] = i_minus_m[i][k] - v
-        self.system = linsolve.Elimination(i_minus_m)
+                entries[k] = (one if k == i else zero) - v
+            i_minus_m.append({k: w for k, w in entries.items() if w})
+        self.system = linsolve.Elimination.of_rows(i_minus_m, zero)
 
     def _step(self, j, vec, rhs):
         return [u + v for u, v in zip(_sparse_vec(self.rows[j], vec, self.zero), rhs[j])]
@@ -267,28 +269,23 @@ def _operator_rows(keys, index, pre, post: PolyMap, degree, spec, guard, tol, po
     """
     dims, mode = post.source, post.mode
     powers = powers or Powers(post, degree)
+    # the nonzero (row, entry) pairs of each column of pre
+    pre_cols = [[(r, m) for r, m in enumerate(column) if m] for column in zip(*pre)]
     rows: list[list] = [[] for _ in keys]
-    guarded: dict[tuple, bool] = {}
     for col, (c, exps) in enumerate(keys):
         img = {}
+        pre_col = pre_cols[c]
         for e, v in powers.part(exps, None):
-            for r, row in enumerate(pre):
-                m = row[c]
-                if m:
-                    w = m * v
-                    if w:
-                        img[(r, e)] = w
+            for r, m in pre_col:
+                w = m * v
+                if w:
+                    img[(r, e)] = w
         leaked = []
         for k, w in img.items():
             pos = index.get(k)
             if pos is not None:
                 rows[pos].append((col, w))
-                continue
-            label = (dims.block_of[k[0]], dims.block_degrees(k[1]))
-            hit = guarded.get(label)
-            if hit is None:
-                hit = guarded[label] = classify_type(spec, HomogeneousType(*label)) in guard
-            if hit:
+            elif spec.type_class(dims.block_of[k[0]], dims.block_degrees(k[1])) in guard:
                 leaked.append(w)
         if leaked and not vanishing(leaked, mode, tol, max(map(abs, img.values()))):
             raise BuildError("conjugation left its solve subspace")
@@ -575,12 +572,13 @@ def solve_taylor(
                 .add(lin_powers[x].compose(hn[fx]))
                 .sub(left_linear(mats[x], hn[x]))
             )
-            scale = pn.max_abs()
             if degree > d:
-                if not pn.vanishes(float_tol, scale):
-                    raise BuildError(f"normal form degree-{degree} residue {float(scale):.3e}")
+                if not pn.vanishes(float_tol, pn):
+                    raise BuildError(
+                        f"normal form degree-{degree} residue {float(pn.max_abs()):.3e}"
+                    )
             else:
-                if not project(pn, spec, _NON_SUB).vanishes(float_tol, scale):
+                if not project(pn, spec, _NON_SUB).vanishes(float_tol, pn):
                     raise BuildError(
                         f"non-sub-resonance residue in the normal form at degree {degree}"
                     )
@@ -593,7 +591,7 @@ def solve_taylor(
         lhs = fiber_powers[x].compose(h[fx])
         rhs = compose(p_poly[x], h[x], n_taylor)
         diff = lhs.sub(rhs)
-        if not diff.vanishes(float_tol, lhs.max_abs()):
+        if not diff.vanishes(float_tol, lhs):
             raise BuildError(f"jet conjugacy residual {float(diff.max_abs()):.3e}")
 
     tol = 0 if mode == RATIONAL else float_tol
@@ -757,7 +755,7 @@ def reduce_family(
             lhs = compose(h_prime[fx], p_elems[x].poly, degree).homogeneous_part(degree)
             rhs = compose(p_res[x], h_prime[x], degree).homogeneous_part(degree)
             k = lhs.sub(rhs)
-            if not project(k, spec, _NON_SUB).vanishes(float_tol, k.max_abs()):
+            if not project(k, spec, _NON_SUB).vanishes(float_tol, k):
                 raise BuildError(f"unexpected non-sub-resonance terms: defect at degree {degree}")
             k_parts.append(k)
             delta = sections.section(x, degree)
@@ -798,7 +796,7 @@ def reduce_family(
             )
             p_n = compose(v, g1_inv_polys[x], degree)
             off = project(p_n, spec, {TypeClass.STRICT_SUB, TypeClass.NON_SUB})
-            if not off.vanishes(float_tol, p_n.max_abs()):
+            if not off.vanishes(float_tol, p_n):
                 raise BuildError(f"resonance form keeps a strict term at degree {degree}")
             # drops float dust below tolerance; keeps all of p_n in rational mode
             p_res[x] = p_res[x].add(project(p_n, spec, res_only), cap=d)
@@ -808,7 +806,7 @@ def reduce_family(
         lhs = compose(h_prime[fx], p_elems[x].poly, d * d)
         rhs = compose(p_res[x], h_prime[x], d * d)
         diff = lhs.sub(rhs)
-        if not diff.vanishes(float_tol, lhs.max_abs()):
+        if not diff.vanishes(float_tol, lhs):
             raise BuildError(f"resonance conjugacy residual {float(diff.max_abs()):.3e}")
 
     tol = 0 if mode == RATIONAL else float_tol

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ from .spectrum import (
     HomogeneousType,
     SpectrumSpec,
     TypeClass,
-    classify_type,
     degree_bound,
 )
 
@@ -74,13 +74,13 @@ class GradedDims:
     def block_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.dims[i])
 
+    @cached_property
+    def _spans(self) -> tuple[tuple[int, int], ...]:
+        return tuple((o, o + m) for o, m in zip(self.offsets, self.dims))
+
     def block_degrees(self, exponents: Sequence[int]) -> tuple[int, ...]:
         """Per-block total degrees of an exponent tuple."""
-        out = []
-        for i in range(self.ell):
-            sl = self.block_slice(i)
-            out.append(sum(exponents[sl.start : sl.stop]))
-        return tuple(out)
+        return tuple([sum(exponents[a:b]) for a, b in self._spans])
 
     def off_block(self, matrix) -> Iterator[tuple[int, int, object]]:
         """(row, column, entry) for every entry of a square matrix outside
@@ -242,7 +242,8 @@ class PolyMap:
         for k, v in other.coeffs.items():
             w = out.get(k)
             out[k] = v if w is None else w + v
-        out = {k: v for k, v in out.items() if sum(k[1]) <= cap}
+        if max(self.cap, other.cap) > cap:
+            out = {k: v for k, v in out.items() if sum(k[1]) <= cap}
         return PolyMap._trusted(self.source, self.target, cap, self.mode, out)
 
     def sub(self, other: "PolyMap", cap: int | None = None) -> "PolyMap":
@@ -252,7 +253,8 @@ class PolyMap:
         for k, v in other.coeffs.items():
             w = out.get(k)
             out[k] = -v if w is None else w - v
-        out = {k: v for k, v in out.items() if sum(k[1]) <= cap}
+        if max(self.cap, other.cap) > cap:
+            out = {k: v for k, v in out.items() if sum(k[1]) <= cap}
         return PolyMap._trusted(self.source, self.target, cap, self.mode, out)
 
     def scale(self, factor) -> "PolyMap":
@@ -279,7 +281,11 @@ class PolyMap:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
     def vanishes(self, tol: float, scale=0.0) -> bool:
-        """No terms in rational mode; max_abs() <= tol * max(1, scale) in float mode."""
+        """No terms in rational mode; max_abs() <= tol * max(1, scale) in
+        float mode.  `scale` is a number or a reference map whose max_abs()
+        is the scale; that is computed only in float mode."""
+        if isinstance(scale, PolyMap):
+            scale = scale.max_abs() if self.mode == FLOAT else 0.0
         return vanishing(self.coeffs.values(), self.mode, tol, scale)
 
     # -- linear part ----------------------------------------------------
@@ -405,30 +411,35 @@ def class_basis(
     spec: SpectrumSpec, dims: GradedDims, degree: int, classes: Iterable[TypeClass]
 ) -> list[tuple[int, tuple[int, ...]]]:
     classes = frozenset(classes)
-    inside: dict[tuple, bool] = {}  # each distinct type is classified once
-    out = []
-    for c, exps in monomial_basis(dims, degree):
-        label = (dims.block_of[c], dims.block_degrees(exps))
-        keep = inside.get(label)
-        if keep is None:
-            keep = inside[label] = classify_type(spec, HomogeneousType(*label)) in classes
-        if keep:
-            out.append((c, exps))
-    return out
+    return [
+        (c, exps)
+        for c, exps in monomial_basis(dims, degree)
+        if spec.type_class(dims.block_of[c], dims.block_degrees(exps)) in classes
+    ]
 
 
 # -- composition and inversion ------------------------------------------
 
 
 def _poly_mul(p: dict, q: dict, cap: int) -> dict:
+    """p * q truncated at the cap, for {exponents: coefficient} dicts.
+
+    Each term of p meets only the terms of q that fit under the cap with
+    it, in q's order: the products, their accumulation order and the
+    result's key order are those of the full double loop with the pairs
+    above the cap skipped.
+    """
     out: dict = {}
+    # fitting[b]: q's terms of degree at most b, in q's order
+    fitting: dict[int, list] = {}
     q_items = [(e, sum(e), v) for e, v in q.items()]
     for e1, v1 in p.items():
-        d1 = sum(e1)
-        for e2, d2, v2 in q_items:
-            if d1 + d2 > cap:
-                continue
-            e = tuple(a + b for a, b in zip(e1, e2))
+        budget = cap - sum(e1)
+        q_fit = fitting.get(budget)
+        if q_fit is None:
+            q_fit = fitting[budget] = [(e, v) for e, d, v in q_items if d <= budget]
+        for e2, v2 in q_fit:
+            e = tuple(map(add, e1, e2))
             w = out.get(e)
             out[e] = v1 * v2 if w is None else w + v1 * v2
     return {e: v for e, v in out.items() if v}
@@ -563,7 +574,7 @@ def invert(pmap: PolyMap, cap: int, float_tol: float = 1e-9) -> PolyMap:
         correction = left_linear(a_inv, defect.scale(-1), target=pmap.source)
         inv = inv.add(correction, cap=cap)
     check = compose(pmap, inv, cap).sub(identity_map(pmap.source, cap, pmap.mode))
-    if not check.vanishes(float_tol, inv.max_abs()):
+    if not check.vanishes(float_tol, inv):
         raise AssertionError(
             f"formal inverse residual {float(check.max_abs()):.3e} beyond tolerance"
         )
@@ -573,23 +584,30 @@ def invert(pmap: PolyMap, cap: int, float_tol: float = 1e-9) -> PolyMap:
 # -- class projections --------------------------------------------------
 
 
+def _class_of(pmap: PolyMap, spec: SpectrumSpec):
+    """(coord, exps) -> TypeClass of the terms of an endomorphism, looked up
+    by label on the spectrum's memo; `type_of` without the object."""
+    if pmap.source.dims != pmap.target.dims:
+        raise ValueError("homogeneous types need an endomorphism shape")
+    block_of, block_degrees = pmap.target.block_of, pmap.source.block_degrees
+    return lambda c, exps: spec.type_class(block_of[c], block_degrees(exps))
+
+
 def project(pmap: PolyMap, spec: SpectrumSpec, classes: Iterable[TypeClass]) -> PolyMap:
     """Keep exactly the monomials whose homogeneous type lies in `classes`."""
     classes = frozenset(classes)
-    kept = {
-        k: v
-        for k, v in pmap.coeffs.items()
-        if classify_type(spec, pmap.type_of(*k)) in classes
-    }
+    class_of = _class_of(pmap, spec)
+    kept = {k: v for k, v in pmap.coeffs.items() if class_of(*k) in classes}
     return PolyMap._trusted(pmap.source, pmap.target, pmap.cap, pmap.mode, kept)
 
 
 def max_off_class(pmap: PolyMap, spec: SpectrumSpec, classes: Iterable[TypeClass]):
     """Largest coefficient magnitude outside the given classes."""
     classes = frozenset(classes)
+    class_of = _class_of(pmap, spec)
     worst = 0
     for k, v in pmap.coeffs.items():
-        if classify_type(spec, pmap.type_of(*k)) not in classes:
+        if class_of(*k) not in classes:
             worst = max(worst, abs(v))
     return worst
 
@@ -650,7 +668,7 @@ def group_inverse(g: GroupElement, spec: SpectrumSpec, tol=0, float_tol: float =
     d = degree_bound(spec)
     inv = invert(g.poly, d).jet(d)
     full = compose(g.poly, inv, d * d).sub(identity_map(g.dims, d * d, g.poly.mode))
-    if not full.vanishes(float_tol, inv.max_abs()):
+    if not full.vanishes(float_tol, inv):
         raise AssertionError(
             f"group inverse residual {float(full.max_abs()):.3e} beyond tolerance"
         )

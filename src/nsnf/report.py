@@ -8,8 +8,8 @@ that reproducibility.
 
 from __future__ import annotations
 
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .base import ValidationReport
@@ -139,8 +139,144 @@ def assemble_report(
     return report
 
 
+# -- writing ------------------------------------------------------------
+#
+# json.dumps pretty-prints through the standard library's pure-Python
+# encoder whenever an indent is given; the writer below emits the same
+# text with less work per value.  Scalars are written as that encoder
+# writes them: strings through its ASCII escaper, bools before ints,
+# int and float subclasses by int.__repr__ and float.__repr__.
+
+_INF = float("inf")
+
+
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == _INF:
+        return "Infinity"
+    if v == -_INF:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _scalar_text(o) -> str | None:
+    """JSON text of a scalar, or None when o is a container."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    return None
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        text = _scalar_text(key)
+        if text is None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = text
+    return encode_basestring_ascii(key) + ": "
+
+
+def _write(o, level: int, out: list) -> None:
+    """Append the text of o at nesting depth `level` to out."""
+    text = _scalar_text(o)
+    if text is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple)):
+        _write_list(o, level, out)
+    elif isinstance(o, dict):
+        _write_dict(o, level, out)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _write_dict(d: dict, level: int, out: list) -> None:
+    if not d:
+        out.append("{}")
+        return
+    sep = "{\n" + "  " * (level + 1)
+    for key, value in sorted(d.items()):
+        out.append(sep + _key_text(key))
+        _write(value, level + 1, out)
+        sep = ",\n" + "  " * (level + 1)
+    out.append("\n" + "  " * level + "}")
+
+
+def _write_list(lst, level: int, out: list) -> None:
+    if not lst:
+        out.append("[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "]"
+    if all(type(v) is int for v in lst):
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, lst)) + close)
+        return
+    first = lst[0]
+    if isinstance(first, dict) and first:
+        keys = first.keys()
+        if all(isinstance(v, dict) and v.keys() == keys for v in lst):
+            _write_records(lst, sorted(keys), level, out)
+            return
+    sep = "[" + inner
+    for value in lst:
+        out.append(sep)
+        _write(value, level + 1, out)
+        sep = "," + inner
+    out.append(close)
+
+
+def _write_records(lst, keys: list, level: int, out: list) -> None:
+    """A list of nonempty dicts that share one key set, `keys` sorted."""
+    inner = "\n" + "  " * (level + 1)
+    field = "\n" + "  " * (level + 2)
+    deep = "\n" + "  " * (level + 3)
+    heads = [("{" if i == 0 else ",") + field + _key_text(k) for i, k in enumerate(keys)]
+    fields = list(zip(heads, keys))
+    # an int list as a field value
+    open_list, item, close_list = "[" + deep, "," + deep, field + "]"
+    close = inner + "}"
+    append = out.append
+    sep = "[" + inner
+    for rec in lst:
+        append(sep)
+        for head, key in fields:
+            value = rec[key]
+            if type(value) is int:
+                append(head + int.__repr__(value))
+            elif type(value) is float:
+                append(head + _float_text(value))
+            elif type(value) is list and value and all(type(v) is int for v in value):
+                append(head + open_list + item.join(map(int.__repr__, value)) + close_list)
+            else:
+                append(head)
+                _write(value, level + 2, out)
+        append(close)
+        sep = "," + inner
+    append("\n" + "  " * level + "]")
+
+
+def report_text(report) -> str:
+    """json.dumps(report, sort_keys=True, indent=2), byte for byte."""
+    out: list = []
+    _write(report, 0, out)
+    return "".join(out)
+
+
 def dump_report(report: dict, out: str | None = None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    """Write the report as the bytes of json.dumps(report, sort_keys=True,
+    indent=2) plus a newline, to stdout or to the file `out`."""
+    text = report_text(report)
     if out is None:
         sys.stdout.write(text + "\n")
     else:

@@ -59,6 +59,9 @@ class SpectrumSpec:
             raise ValueError(f"band half-width must be positive, got {eps}")
         object.__setattr__(self, "chi", chi_t)
         object.__setattr__(self, "epsilon", eps)
+        # (block, block-degree vector) -> TypeClass; not a field, so
+        # equality, hashing and repr ignore it
+        object.__setattr__(self, "_classes", {})
 
     @property
     def ell(self) -> int:
@@ -69,6 +72,25 @@ class SpectrumSpec:
         if len(s) != self.ell:
             raise ValueError(f"block-degree vector {s} has wrong length")
         return sum((k * c for k, c in zip(s, self.chi)), Fraction(0))
+
+    def type_class(self, block: int, s: tuple[int, ...]) -> "TypeClass":
+        """`classify_type` of HomogeneousType(block, s), memoized on the
+        spectrum by its label (block, s)."""
+        got = self._classes.get((block, s))
+        if got is None:
+            if block >= self.ell or len(s) != self.ell:
+                t = HomogeneousType(block, s)
+                raise ValueError(f"type {t} does not fit an {self.ell}-block spectrum")
+            w = self.weight(s)
+            target = self.chi[block]
+            if target == w:
+                got = TypeClass.RESONANCE
+            elif target < w:
+                got = TypeClass.STRICT_SUB
+            else:
+                got = TypeClass.NON_SUB
+            self._classes[(block, s)] = got
+        return got
 
 
 @dataclass(frozen=True)
@@ -96,17 +118,10 @@ def classify_type(spec: SpectrumSpec, t: HomogeneousType) -> TypeClass:
     """Compare the target exponent with the weighted source exponents.
 
     chi_i = sum s_j chi_j is a resonance, chi_i < sum a strict sub-resonance,
-    chi_i > sum falls outside the sub-resonance family.
+    chi_i > sum falls outside the sub-resonance family.  Raises ValueError
+    on a type that does not fit the spectrum.
     """
-    if t.block >= spec.ell or len(t.s) != spec.ell:
-        raise ValueError(f"type {t} does not fit an {spec.ell}-block spectrum")
-    w = spec.weight(t.s)
-    target = spec.chi[t.block]
-    if target == w:
-        return TypeClass.RESONANCE
-    if target < w:
-        return TypeClass.STRICT_SUB
-    return TypeClass.NON_SUB
+    return spec.type_class(t.block, t.s)
 
 
 def degree_bound(spec: SpectrumSpec) -> int:

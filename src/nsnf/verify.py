@@ -53,7 +53,7 @@ def _witness(maps, spec, tag, float_tol) -> TransitionWitness:
     for g in maps:
         off = project(g, spec, off_classes)
         offs.append(float(off.max_abs()))
-        oks.append(off.vanishes(float_tol, g.max_abs()))
+        oks.append(off.vanishes(float_tol, g))
     return TransitionWitness(
         tag=tag,
         maps=tuple(maps),
@@ -133,7 +133,7 @@ def check_linearization(nf: NormalFormResult, float_tol: float = 1e-9) -> bool:
     for x in range(nf.ext.base.p):
         p = nf.p_poly(x)
         lin = p.jet(1)
-        if not p.sub(lin).vanishes(float_tol, p.max_abs()):
+        if not p.sub(lin).vanishes(float_tol, p):
             return False
         if not lin.sub(nf.ext.fiber(x).jet(1)).vanishes(float_tol):
             return False
@@ -184,7 +184,7 @@ def check_centralizer(
     for x in range(f.p):
         lhs = compose(ext_g.fiber(f.image(x)), ext_f.fiber(x), cap)
         rhs = compose(ext_f.fiber(g.image(x)), ext_g.fiber(x), cap)
-        if not lhs.sub(rhs).vanishes(float_tol, lhs.max_abs()):
+        if not lhs.sub(rhs).vanishes(float_tol, lhs):
             raise VerifyError(
                 "commutation", f"extensions do not commute over point {x}"
             )

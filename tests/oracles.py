@@ -293,3 +293,21 @@ def solve_columns_reference(a, b):
                 if row_c[j]:
                     row_r[j] = row_r[j] - scale * row_c[j]
     return [[aug[i][n + j] / aug[i][i] for j in range(len(b[0]))] for i in range(n)]
+
+
+def poly_mul_reference(p, q, cap):
+    """The truncated product loop `polymap._poly_mul` had before it skipped
+    the pairs above the cap: every pair of terms is visited, in p's then
+    q's order, and pairs above the cap are dropped.  The bitwise reference
+    of the new loop, key order included."""
+    out = {}
+    q_items = [(e, sum(e), v) for e, v in q.items()]
+    for e1, v1 in p.items():
+        d1 = sum(e1)
+        for e2, d2, v2 in q_items:
+            if d1 + d2 > cap:
+                continue
+            e = tuple(a + b for a, b in zip(e1, e2))
+            w = out.get(e)
+            out[e] = v1 * v2 if w is None else w + v1 * v2
+    return {e: v for e, v in out.items() if v}

@@ -218,3 +218,16 @@ def test_lift_spread_script_runs():
     lines = proc.stdout.splitlines()
     assert lines[0] == "3 builds: all pairwise transitions are sub-resonance, as required"
     assert any(line.startswith("P: ") for line in lines)
+
+
+def test_parser_is_built_once_and_flags_do_not_leak(capsys):
+    inst = path("worked_2block_rational.json")
+    code, rep, _ = run_cli(capsys, "build", inst, "--mode", "float", "--timings")
+    assert code == 0 and rep["mode"] == "float" and rep["timings"] is not None
+    code, rep, _ = run_cli(capsys, "build", inst)
+    assert code == 0 and rep["mode"] == "rational" and rep["timings"] is None
+    assert cli._parser() is cli._parser()
+    args = cli._parser().parse_args(["eval", inst, "--seed", "3", "--force"])
+    assert args.seed == 3 and args.force
+    args = cli._parser().parse_args(["eval", inst])
+    assert args.seed is None and not args.force

@@ -101,3 +101,93 @@ def test_shapes():
         linsolve.solve([[F(1)]], [F(1), F(2)])
     with pytest.raises(ValueError, match="shape"):
         linsolve.Elimination([[1.0]]).solve_columns([[1.0], [2.0]])
+
+
+# -- sparse systems: 70-95% zeros, row swaps, fill-in that cancels ---------
+
+
+@st.composite
+def sparse_systems(draw, exact):
+    """A square system whose nonzeros sit on a permuted diagonal, so most
+    columns need a row swap, plus a few entries from a small set of values,
+    so that updates often cancel to exactly zero."""
+    n = draw(st.integers(min_value=4, max_value=10))
+    one = F(1) if exact else 1.0
+    values = [one, -one, 2 * one, one / 2] if exact else [1.0, -1.0, 2.0, 0.5, 0.1, -3.0]
+    zero = one * 0
+    a = [[zero] * n for _ in range(n)]
+    perm = draw(st.permutations(range(n)))
+    for col, row in enumerate(perm):
+        a[row][col] = draw(st.sampled_from(values))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(cell, max_size=(3 * n * n) // 10 - n, unique=True)):
+        a[i][j] = draw(st.sampled_from(values))
+    b = [[draw(st.sampled_from(values + [zero]))] for _ in range(n)]
+    return a, b
+
+
+def _sparse_rows(a):
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
+
+
+def _check_sparse(a, b):
+    zeros = sum(1 for row in a for v in row if not v) / len(a) ** 2
+    assert 0.7 <= zeros <= 0.95
+    _check_against_reference(a, b)
+    zero = a[0][0] * 0
+    try:
+        expected = solve_columns_reference(a, b)
+    except linsolve.SingularMatrix:
+        with pytest.raises(linsolve.SingularMatrix):
+            linsolve.Elimination.of_rows(_sparse_rows(a), zero)
+        return
+    elim = linsolve.Elimination.of_rows(_sparse_rows(a), zero)
+    assert _bits(elim.solve_columns(b)) == _bits(expected)
+
+
+@given(sparse_systems(exact=True))
+def test_rational_sparse_matches_reference(system):
+    _check_sparse(*system)
+
+
+@given(sparse_systems(exact=False))
+def test_float_sparse_matches_reference(system):
+    _check_sparse(*system)
+
+
+def test_fill_in_that_cancels_is_not_a_pivot():
+    # eliminating column 0 cancels entry (1, 1) to exactly zero, so the
+    # pivot of column 1 comes from row 2 by a swap
+    for one in (F(1), 1.0):
+        zero = one * 0
+        a = [
+            [one, one, zero, zero],
+            [one, one, one, zero],
+            [zero, one, zero, one],
+            [zero, zero, one, one + one],
+        ]
+        b = [[one], [zero], [one + one], [-one]]
+        expected = solve_columns_reference(a, b)
+        assert _bits(linsolve.Elimination(a).solve_columns(b)) == _bits(expected)
+        elim = linsolve.Elimination.of_rows(_sparse_rows(a), zero)
+        assert elim.steps[1][0] == 2
+        assert _bits(elim.solve_columns(b)) == _bits(expected)
+
+
+def test_sparse_singular_refused_when_recorded():
+    for one in (F(1), 1.0):
+        zero = one * 0
+        # row 3 is row 0 + row 1: its elimination leaves column 3 empty
+        a = [
+            [one, zero, zero, one, zero],
+            [zero, one, zero, -one, zero],
+            [zero, zero, one, zero, zero],
+            [one, one, zero, zero, zero],
+            [zero, zero, zero, zero, one],
+        ]
+        with pytest.raises(linsolve.SingularMatrix):
+            solve_columns_reference(a, [[one]] * 5)
+        with pytest.raises(linsolve.SingularMatrix):
+            linsolve.Elimination(a)
+        with pytest.raises(linsolve.SingularMatrix):
+            linsolve.Elimination.of_rows(_sparse_rows(a), zero)

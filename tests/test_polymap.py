@@ -28,7 +28,7 @@ from nsnf.polymap import (
 )
 from nsnf.spectrum import SUB_RESONANCE, SpectrumSpec, TypeClass
 
-from oracles import naive_compose
+from oracles import naive_compose, poly_mul_reference
 from strategies import endo_poly_maps, sub_resonance_elements
 
 D11 = GradedDims([1, 1])
@@ -385,3 +385,54 @@ def test_evaluate_batch_needs_float_map_and_matching_rows():
         worked_p().evaluate_batch(np.zeros((1, 2)))
     with pytest.raises(ValueError, match="dimension"):
         worked_p().to_float().evaluate_batch(np.zeros((1, 3)))
+
+
+@st.composite
+def term_dicts(draw, n_vars, exact):
+    """{exponents: coefficient} with degrees 1..4 and coefficients that
+    often cancel; keys in draw order."""
+    exps = st.lists(st.integers(0, 2), min_size=n_vars, max_size=n_vars).map(tuple)
+    keys = draw(
+        st.lists(exps.filter(lambda e: 1 <= sum(e) <= 4), max_size=8, unique=True)
+    )
+    if exact:
+        values = st.sampled_from([F(-1), F(1), F(1, 2), F(-1, 2), F(3, 7)])
+    else:
+        values = st.sampled_from([-1.0, 1.0, 0.5, -0.5, 0.1, 1e-300, -3.0])
+    return {k: draw(values) for k in keys}
+
+
+def _items_bits(terms):
+    return [(e, v.hex() if isinstance(v, float) else v) for e, v in terms.items()]
+
+
+@given(st.integers(1, 3), st.booleans(), st.integers(0, 9), st.data())
+def test_poly_mul_matches_full_pair_loop(n_vars, exact, cap, data):
+    """Same values, float bits and key order as visiting every pair, for
+    caps from below the smallest degree sum to above the largest."""
+    from nsnf.polymap import _poly_mul
+
+    p = data.draw(term_dicts(n_vars, exact))
+    q = data.draw(term_dicts(n_vars, exact))
+    got = _poly_mul(p, q, cap)
+    assert _items_bits(got) == _items_bits(poly_mul_reference(p, q, cap))
+
+
+class TestVanishesAgainstReferenceMap:
+    class _Unread(PolyMap):
+        __slots__ = ()
+
+        def max_abs(self):
+            raise AssertionError("reference read in rational mode")
+
+    def test_rational_reference_is_not_read(self):
+        ref = self._Unread._trusted(D11, D11, 2, RATIONAL, {(0, (1, 0)): F(10**9)})
+        assert zero_map(D11, D11, 1, RATIONAL).vanishes(0, ref)
+        assert not worked_p().vanishes(1e-9, ref)
+
+    def test_float_reference_scales_like_its_max_abs(self):
+        ref = PolyMap(D11, D11, 1, FLOAT, {(0, (1, 0)): -8.0, (1, (0, 1)): 2.0})
+        at = PolyMap(D11, D11, 1, FLOAT, {(0, (1, 0)): 8e-9})
+        above = PolyMap(D11, D11, 1, FLOAT, {(0, (1, 0)): math.nextafter(8e-9, 1.0)})
+        assert at.vanishes(1e-9, ref) and at.vanishes(1e-9, ref.max_abs())
+        assert not above.vanishes(1e-9, ref)

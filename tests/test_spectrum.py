@@ -219,3 +219,19 @@ def test_certified_exponents_negative_below_threshold(chi, n_taylor):
                     assert phi_contraction_bound(spec, t, "backward") < 0
     for degree in range(d + 1, n_taylor + 1):
         assert -spec.chi[0] + degree * spec.chi[-1] + (degree + 1) * eps < 0
+
+
+def test_classification_memo_lives_on_the_spec():
+    spec, fresh = spec21(), spec21()
+    for degree in range(1, 5):
+        for block in range(spec.ell):
+            for t, cls in enumerate_types(fresh, degree, block):
+                assert classify_type(spec, t) is cls
+                assert spec.type_class(t.block, t.s) is cls
+    # the memo is not part of the value
+    assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not fit"):
+            classify_type(spec, HomogeneousType(2, (1, 0)))
+        with pytest.raises(ValueError, match="does not fit"):
+            spec.type_class(0, (1, 0, 0))
