@@ -191,10 +191,10 @@ def _stage_eval(inst: Instance, nf: NormalFormResult, sections: dict) -> None:
     opts = inst.options
     try:
         ev = Evaluator(nf, opts.eval_config())
-        stats = ev.residual_stats(seed=opts.seed, samples=opts.samples)
         n = inst.ext.dims.total
         direction = [1.0 / math.sqrt(n)] * n
-        fits = [ev.order_of_contact(x, direction) for x in range(inst.ext.base.p)]
+        rays = [(x, direction) for x in range(inst.ext.base.p)]
+        stats, fits = ev.survey(opts.seed, opts.samples, rays)
     except EvalError as err:
         raise StageFailure(EXIT_BUILD, f"evaluation failed: {err}")
     sections["evaluation"] = eval_json(stats, fits)

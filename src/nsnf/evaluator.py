@@ -7,7 +7,12 @@ binary64 evaluation of the fiber maps themselves, never by truncated
 composition, and the normal-form composites are undone stepwise through the
 degree-d group inverses.  All samples of a call advance in lockstep through
 batched evaluation (`PolyMap.evaluate_batch`), each frozen at its own step
-of convergence.
+of convergence; `Evaluator.survey` sends every limit of a run, residual
+pairs and contact-order rays alike, through one such batch.
+
+The residual sample is drawn from random.Random(seed), bit for bit as a
+per-sample loop of randrange, gauss and random draws it, but decoded in
+bulk from the generator's raw 32-bit words (`ball_sample`).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -99,6 +105,122 @@ def evaluate_at(maps, xs: np.ndarray, points: np.ndarray) -> np.ndarray:
 def interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[0], b[0], a[1], b[1], ...: pairs of limits in draw order."""
     return np.stack([a, b], axis=1).reshape(-1, *a.shape[1:])
+
+
+_TWOPI = 2.0 * math.pi  # as random.TWOPI
+
+
+def _uniforms(words: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """random() of the word pairs (words[at], words[at + 1]): their top 27
+    and 26 bits joined into a 53-bit fraction, as CPython builds it."""
+    a = (words[at] >> 5).astype(float)
+    b = (words[at + 1] >> 6).astype(float)
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+
+def _next_accepted(words: np.ndarray, shift: int, p: int) -> memoryview:
+    """For every word index i, and one past the last, the first index >= i
+    whose word randrange(p) accepts, or len(words) if there is none."""
+    size = len(words)
+    hit = np.append(np.where((words >> shift) < p, np.arange(size), size), size)
+    return memoryview(np.minimum.accumulate(hit[::-1])[::-1])
+
+
+def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
+    """fn(value, *args) at every entry, through the interpreter's libm."""
+    return np.fromiter(map(fn, values.tolist(), *(repeat(a) for a in args)), float, len(values))
+
+
+def ball_sample(seed: int, p: int, n: int, samples: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Base points below p and fiber vectors in the Euclidean ball of the
+    radius, bit for bit as this loop over random.Random(seed) draws them:
+
+        for _ in range(samples):
+            x = rng.randrange(p)
+            raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
+            nrm = math.sqrt(sum(c * c for c in raw)) or 1.0
+            scale = radius * rng.random() ** (1.0 / n) / nrm
+            t = [scale * c for c in raw]
+
+    The values are decoded in bulk from the generator's 32-bit words.  Per
+    sample, randrange(p) reads one word per attempt and keeps its top
+    p.bit_length() bits, rejecting values >= p; gauss() makes its normals
+    in pairs from two random() values (4 words) and caches the second, so
+    with odd n a pair straddles two samples; random() reads 2 words.  The
+    arithmetic runs vectorized in the loop's order, while log, cos, sin,
+    ** and the sum of squares (compensated from Python 3.12 on) stay the
+    interpreter's own.  The first draw holds the words the samples read
+    when randrange rejects nothing; a top-up after the first rejection
+    leaves room for the rest.
+    """
+    k = p.bit_length()
+    if not 0 < k <= 32:
+        raise ValueError("base point count must lie in [1, 2**32)")
+    shift = 32 - k
+    rng = random.Random(seed)
+    # sample j starts the normal pairs ceil(j n / 2) .. ceil((j + 1) n / 2) - 1
+    first_pair = -(-np.arange(samples + 1) * n // 2)
+    pairs = np.diff(first_pair)
+    tails = (4 * pairs + 2).tolist()  # words a sample reads after its base point
+    per_sample = 4 * -(-n // 2) + 2 + (1 << k) // p + 1  # randrange reads 2**k / p words on average
+
+    def draw(count: int) -> np.ndarray:
+        # getrandbits fills its integer least significant word first
+        raw = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        return np.frombuffer(raw, dtype="<u4")
+
+    words = draw(sum(tails) + samples)
+    accepted = _next_accepted(words, shift, p)
+    size = len(words)
+    starts = []  # the index of each sample's base-point word
+    pos = 0
+    for j, tail in enumerate(tails):
+        i = accepted[pos]
+        while i + tail >= size:
+            words = np.concatenate([words, draw((samples - j) * per_sample + 16)])
+            accepted = _next_accepted(words, shift, p)
+            size = len(words)
+            i = accepted[pos]
+        starts.append(i)
+        pos = i + 1 + tail
+    starts = np.array(starts, dtype=np.intp)
+
+    owner = np.repeat(np.arange(samples), pairs)
+    at = starts[owner] + 1 + 4 * (np.arange(len(owner)) - first_pair[owner])
+    x2pi = _uniforms(words, at) * _TWOPI
+    g2rad = np.sqrt(-2.0 * _libm(math.log, 1.0 - _uniforms(words, at + 2)))
+    normals = np.stack([_libm(math.cos, x2pi) * g2rad, _libm(math.sin, x2pi) * g2rad], axis=1)
+    raw = 0.0 + normals.reshape(-1)[: samples * n].reshape(samples, n)  # mu + z * sigma
+    nrm = np.sqrt(np.fromiter(map(sum, (raw * raw).tolist()), float, samples))
+    nrm[nrm == 0.0] = 1.0
+    grow = _libm(pow, _uniforms(words, starts + 1 + 4 * pairs), 1.0 / n)
+    scale = radius * grow / nrm
+    return (words[starts] >> shift).astype(np.intp), scale[:, None] * raw
+
+
+def _unit(direction) -> tuple[float, ...]:
+    """The direction scaled to Euclidean length 1."""
+    direction = tuple(float(c) for c in direction)
+    norm = math.sqrt(sum(c * c for c in direction))
+    if norm == 0:
+        raise ValueError("direction must be nonzero")
+    return tuple(c / norm for c in direction)
+
+
+def _contact_fit(radii: tuple[float, ...], gaps: tuple[float, ...], floor: float) -> OrderFit:
+    """Least-squares fit of log gap against log radius over the gaps above
+    the noise floor; degenerate with fewer than two."""
+    usable = [(r, g) for r, g in zip(radii, gaps) if g > floor]
+    if len(usable) < 2:
+        return OrderFit(None, None, radii, gaps, True)
+    xs = [math.log(r) for r, _ in usable]
+    ys = [math.log(g) for _, g in usable]
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    sxx = sum((u - mx) ** 2 for u in xs)
+    sxy = sum((u - mx) * (v - my) for u, v in zip(xs, ys))
+    slope = sxy / sxx
+    return OrderFit(slope, my - slope * mx, radii, gaps, False)
 
 
 class Evaluator:
@@ -200,14 +322,18 @@ class Evaluator:
         last = increments[-1] if increments else 0.0
         return EvalResult(tuple(lim.values[0].tolist()), k, True, last, increments)
 
-    def _here_and_there(self, xs, points, cfg: EvalConfig) -> tuple[Limits, np.ndarray, np.ndarray]:
+    def _paired(self, xs: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (x, t) and one step on, (f(x), F_x(t)), interleaved in draw order."""
+        ft = evaluate_at(self.ext.fibers, xs, points)
+        return interleave(xs, self._perm[xs]), interleave(points, ft)
+
+    def _here_and_there(self, xs, points, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
         """Limits at (x, t) and one step on, at (f(x), F_x(t)), evaluated as
         one batch in draw order."""
         xs = np.asarray(xs, dtype=np.intp)
         points = np.asarray(points, dtype=float).reshape(len(xs), self.ext.dims.total)
-        ft = evaluate_at(self.ext.fibers, xs, points)
-        lim = self.limits(interleave(xs, self._perm[xs]), interleave(points, ft), cfg)
-        return lim, lim.values[0::2], lim.values[1::2]
+        values = self.limits(*self._paired(xs, points), cfg).values
+        return values[0::2], values[1::2]
 
     def _residuals(self, xs, here, there) -> np.ndarray:
         """|H_{fx}(F_x(t)) - P_x(H_x(t))| per row."""
@@ -220,70 +346,80 @@ class Evaluator:
     def residual(self, x: int, t, cfg: EvalConfig | None = None) -> float:
         """Defect of the conjugacy identity at the converged limit."""
         xs = np.array([x], dtype=np.intp)
-        _, here, there = self._here_and_there(xs, [t], cfg or self.cfg)
+        here, there = self._here_and_there(xs, [t], cfg or self.cfg)
         return float(self._residuals(xs, here, there)[0])
 
     def one_step_gap(self, x: int, t, cfg: EvalConfig | None = None) -> float:
         """Single-step invariance: H_x(t) against P_x^{-1}(H_{fx}(F_x(t)))."""
         xs = np.array([x], dtype=np.intp)
-        _, here, there = self._here_and_there(xs, [t], cfg or self.cfg)
+        here, there = self._here_and_there(xs, [t], cfg or self.cfg)
         return float(self._one_step_gaps(xs, here, there)[0])
-
-    def order_of_contact(
-        self,
-        x: int,
-        direction,
-        radii=None,
-        cfg: EvalConfig | None = None,
-    ) -> OrderFit:
-        """Fit the contact order of the limit against its Taylor jet along a ray.
-
-        Gaps below 100x the stopping tolerance sit at the noise floor and are
-        excluded; with fewer than two usable radii the fit is degenerate.
-        """
-        cfg = cfg or self.cfg
-        direction = tuple(float(c) for c in direction)
-        norm = math.sqrt(sum(c * c for c in direction))
-        if norm == 0:
-            raise ValueError("direction must be nonzero")
-        direction = tuple(c / norm for c in direction)
-        if radii is None:
-            radii = [cfg.radius * 2.0 ** (-j) for j in range(4)]
-        radii = tuple(float(r) for r in radii)
-
-        points = np.array([[r * c for c in direction] for r in radii])
-        points = points.reshape(len(radii), self.ext.dims.total)
-        limit = self.limits([x] * len(radii), points, cfg).values
-        jet = self.nf.h_taylor[x].evaluate_batch(points)
-        gaps = tuple(_sup(limit - jet).tolist())
-
-        floor = 100.0 * cfg.tol
-        usable = [(r, g) for r, g in zip(radii, gaps) if g > floor]
-        if len(usable) < 2:
-            return OrderFit(None, None, radii, gaps, True)
-        xs = [math.log(r) for r, _ in usable]
-        ys = [math.log(g) for _, g in usable]
-        n = len(xs)
-        mx, my = sum(xs) / n, sum(ys) / n
-        sxx = sum((u - mx) ** 2 for u in xs)
-        sxy = sum((u - mx) * (v - my) for u, v in zip(xs, ys))
-        slope = sxy / sxx
-        return OrderFit(slope, my - slope * mx, radii, gaps, False)
 
     def sample_points(self, seed: int, samples: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """A deterministic ball sample: base points uniformly, fiber vectors
         uniformly from the Euclidean ball of the radius (which keeps the sup
-        norm inside it too), drawn from random.Random(seed)."""
-        rng = random.Random(seed)
+        norm inside it too), drawn from random.Random(seed) bit for bit as
+        the per-sample loop of `ball_sample` draws them."""
+        return ball_sample(seed, self.base.p, self.ext.dims.total, samples, radius)
+
+    def survey(
+        self,
+        seed: int,
+        samples: int,
+        rays=(),
+        radii=None,
+        cfg: EvalConfig | None = None,
+        one_step_every: int = 20,
+    ) -> tuple[ResidualStats, list[OrderFit]]:
+        """Residual statistics over the ball sample of `sample_points` and a
+        contact-order fit along each ray (x, direction), all limits in one
+        `limits` batch: the sample's pairs (x, t), (f(x), F_x(t)) in draw
+        order, then each ray's points at the radii (by default the sample
+        radius halved three times).
+
+        Gaps of the limit against the Taylor jet below 100x the stopping
+        tolerance sit at the noise floor and are left out of the fits; a fit
+        with fewer than two usable radii is degenerate.
+        """
+        cfg = cfg or self.cfg
+        if radii is None:
+            radii = [cfg.radius * 2.0 ** (-j) for j in range(4)]
+        radii = tuple(float(r) for r in radii)
         n = self.ext.dims.total
-        xs, points = [], []
-        for _ in range(samples):
-            xs.append(rng.randrange(self.base.p))
-            raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
-            nrm = math.sqrt(sum(c * c for c in raw)) or 1.0
-            scale = radius * rng.random() ** (1.0 / n) / nrm
-            points.append([scale * c for c in raw])
-        return np.array(xs, dtype=np.intp), np.array(points, dtype=float).reshape(samples, n)
+        ray_xs = np.repeat(np.array([x for x, _ in rays], dtype=np.intp), len(radii))
+        ray_points = np.array(
+            [[r * c for c in _unit(d)] for _, d in rays for r in radii], dtype=float
+        ).reshape(len(ray_xs), n)
+        xs, points = self.sample_points(seed, samples, cfg.radius)
+        pair_xs, pair_points = self._paired(xs, points)
+        lim = self.limits(
+            np.concatenate([pair_xs, ray_xs]), np.concatenate([pair_points, ray_points]), cfg
+        )
+
+        m = 2 * samples
+        here, there = lim.values[0:m:2], lim.values[1:m:2]
+        residuals = self._residuals(xs, here, there).tolist()
+        checked = slice(None, None, one_step_every) if one_step_every else slice(0)
+        gaps = self._one_step_gaps(xs[checked], here[checked], there[checked])
+        inc = lim.increments[:, 0:m:2]
+        floor = 100.0 * cfg.tol
+        both = (inc[:-1] > floor) & (inc[1:] > floor)
+        ratios = inc[1:][both] / inc[:-1][both]
+        stats = ResidualStats(
+            samples=samples,
+            seed=seed,
+            max_residual=max(residuals, default=0.0),
+            mean_residual=sum(residuals) / max(samples, 1),
+            max_iterations=int(lim.iterations[0:m:2].max(initial=0)),
+            max_increment_ratio=float(ratios.max()) if ratios.size else None,
+            cert_ratio=self.cert_ratio,
+            max_one_step_gap=float(gaps.max(initial=0.0)),
+        )
+
+        jets = evaluate_at(self.nf.h_taylor, ray_xs, ray_points)
+        ray_gaps = _sup(lim.values[m:] - jets).reshape(len(rays), len(radii))
+        fits = [_contact_fit(radii, tuple(g), floor) for g in ray_gaps.tolist()]
+        return stats, fits
 
     def residual_stats(
         self,
@@ -294,24 +430,15 @@ class Evaluator:
     ) -> ResidualStats:
         """Conjugacy residuals over the deterministic ball sample of
         `sample_points`; the same seed reproduces the same stats."""
-        cfg = cfg or self.cfg
-        xs, points = self.sample_points(seed, samples, cfg.radius)
-        lim, here, there = self._here_and_there(xs, points, cfg)
-        residuals = self._residuals(xs, here, there).tolist()
-        checked = slice(None, None, one_step_every) if one_step_every else slice(0)
-        gaps = self._one_step_gaps(xs[checked], here[checked], there[checked])
+        return self.survey(seed, samples, cfg=cfg, one_step_every=one_step_every)[0]
 
-        inc = lim.increments[:, 0::2]
-        floor = 100.0 * cfg.tol
-        both = (inc[:-1] > floor) & (inc[1:] > floor)
-        ratios = inc[1:][both] / inc[:-1][both]
-        return ResidualStats(
-            samples=samples,
-            seed=seed,
-            max_residual=max(residuals, default=0.0),
-            mean_residual=sum(residuals) / max(samples, 1),
-            max_iterations=int(lim.iterations[0::2].max(initial=0)),
-            max_increment_ratio=float(ratios.max()) if ratios.size else None,
-            cert_ratio=self.cert_ratio,
-            max_one_step_gap=float(gaps.max(initial=0.0)),
-        )
+    def order_of_contact(
+        self,
+        x: int,
+        direction,
+        radii=None,
+        cfg: EvalConfig | None = None,
+    ) -> OrderFit:
+        """Fit the contact order of the limit against its Taylor jet along a
+        ray, as `survey` does for each of its rays."""
+        return self.survey(0, 0, [(x, direction)], radii, cfg)[1][0]

@@ -653,7 +653,7 @@ def make_group_element(poly: PolyMap, spec: SpectrumSpec, tag: str, tol=0) -> Gr
     if off > tol:
         raise ValueError(f"off-class coefficient of size {off} under tag {tag!r}")
     try:
-        linsolve.invert(poly.linear_matrix())
+        linsolve.Elimination(poly.linear_matrix())
     except linsolve.SingularMatrix as err:
         raise ValueError("linear part not invertible") from err
     return GroupElement(poly=poly, tag=tag)

@@ -5,7 +5,6 @@ linearization specialization."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,17 +211,7 @@ def check_centralizer(
 
     if samples:
         ev = Evaluator(nf, cfg)
-        rng = random.Random(seed)
-        n = dims.total
-        radius = ev.cfg.radius / 2.0
-        xs, points = [], []
-        for _ in range(samples):
-            xs.append(rng.randrange(f.p))
-            raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
-            nrm = max(abs(c) for c in raw) or 1.0
-            points.append([radius * rng.random() * c / nrm for c in raw])
-        xs = np.array(xs, dtype=np.intp)
-        points = np.array(points, dtype=float)
+        xs, points = ev.sample_points(seed, samples, ev.cfg.radius / 2.0)
         # the limit at (g(x), G_x(t)) against Q_x of the limit at (x, t), pairs in draw order
         g_points = evaluate_at(ext_g.to_float().fibers, xs, points)
         gx = np.array(g.perm, dtype=np.intp)[xs]

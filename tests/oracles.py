@@ -8,8 +8,11 @@ degree cap, and fixed points by summing the conjugation series directly.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def all_block_degree_vectors(degree, ell):
@@ -246,6 +249,21 @@ def pointwise_limit(ev, x, t, cfg):
             return tuple(u), k, tuple(increments)
         prev = u
     return None, cfg.k_max, tuple(increments)
+
+
+def ball_sample_loop(seed, p, n, samples, radius):
+    """The ball sample drawn call by call from random.Random(seed), kept as
+    `Evaluator.sample_points` was written before it decoded the generator's
+    words in bulk: the bitwise reference of `evaluator.ball_sample`."""
+    rng = random.Random(seed)
+    xs, points = [], []
+    for _ in range(samples):
+        xs.append(rng.randrange(p))
+        raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        nrm = math.sqrt(sum(c * c for c in raw)) or 1.0
+        scale = radius * rng.random() ** (1.0 / n) / nrm
+        points.append([scale * c for c in raw])
+    return np.array(xs, dtype=np.intp), np.array(points, dtype=float).reshape(samples, n)
 
 
 def solve_columns_reference(a, b):

@@ -216,3 +216,36 @@ def test_kmax_exhaustion_names_first_failing_sample():
     assert str(err.value).startswith(
         f"no convergence within 9 iterations at point {x}; last increment {last:.3e}"
     )
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_survey_matches_separate_calls(case):
+    ev = ORACLE_CASES[case]()
+    n = ev.ext.dims.total
+    direction = [1.0 / math.sqrt(n)] * n
+    rays = [(x, direction) for x in range(ev.base.p)]
+    stats, fits = ev.survey(4, 200, rays)  # residual rows and ray rows in one batch
+    alone = ev.residual_stats(seed=4, samples=200)
+    assert (stats.samples, stats.seed, stats.max_iterations, stats.cert_ratio) == (
+        alone.samples,
+        alone.seed,
+        alone.max_iterations,
+        alone.cert_ratio,
+    )
+    for got, want in [
+        (stats.max_residual, alone.max_residual),
+        (stats.mean_residual, alone.mean_residual),
+        (stats.max_one_step_gap, alone.max_one_step_gap),
+        (stats.max_increment_ratio, alone.max_increment_ratio),
+    ]:
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+    assert len(fits) == ev.base.p
+    for x, fit in enumerate(fits):
+        ref = ev.order_of_contact(x, direction)
+        assert fit.radii == ref.radii
+        assert fit.degenerate == ref.degenerate
+        assert np.allclose(fit.gaps, ref.gaps, rtol=0.0, atol=1e-15)
+        if not fit.degenerate:
+            assert fit.slope == pytest.approx(ref.slope, rel=1e-6)
+            assert fit.intercept == pytest.approx(ref.intercept, rel=1e-6)
+    assert len({fit.gaps for fit in fits}) == len(fits)  # each base point has its own rays
