@@ -27,6 +27,7 @@ from .polymap import (
     GroupElement,
     PolyMap,
     Powers,
+    agrees,
     class_basis,
     compose,
     compose_part,
@@ -447,10 +448,12 @@ class TaylorPlan:
     mats: list
     invs: list
     lin_polys: list[PolyMap]
+    # per base point: the fiber's power table and its linear part's, at cap N
     fiber_powers: list[Powers]
+    lin_powers: list[Powers]
     certified_exponents: dict[int, Fraction]
-    # degree -> [(group keys, key index, [(cycle, _CycleSystem)])]
-    groups: dict[int, list]
+    # degree -> (solve keys, key index, [(cycle, _CycleSystem)])
+    systems: dict[int, tuple]
 
 
 def plan_taylor(
@@ -478,8 +481,11 @@ def plan_taylor(
     diagonal = _all_block_diagonal(mats, dims)
     one = Fraction(1) if ext.mode == RATIONAL else 1.0
 
+    # A linear map's images are homogeneous, so one table per point at cap
+    # N serves every degree's operator rows and every solve's hn o L.
+    lin_powers = [Powers(lin_polys[x], n_taylor) for x in range(p)]
     certified_exponents: dict[int, Fraction] = {}
-    groups: dict[int, list] = {}
+    systems: dict[int, tuple] = {}
     for degree in range(2, n_taylor + 1):
         keys = class_basis(spec, dims, degree, {TypeClass.NON_SUB})
         cert = _certified_exponent(spec, dims, keys, "forward")
@@ -489,18 +495,27 @@ def plan_taylor(
                 raise BuildError(
                     f"certified exponent {cert} at degree {degree} is not negative"
                 )
-        lin_powers = [Powers(lin_polys[x], degree) for x in range(p)]
-        groups[degree] = []
-        for group in _grouped_basis(keys, dims, diagonal):
+        # Each invariant group is assembled and guarded on its own, then
+        # stacked block-diagonally: the elimination never pivots or updates
+        # across blocks, so one system per cycle solves every group bitwise
+        # as its own system would.
+        stacked: list[list] = [[] for _ in range(p)]
+        groups = _grouped_basis(keys, dims, diagonal)
+        offset = 0
+        for group in groups:
             index = {k: i for i, k in enumerate(group)}
-            ops = [
-                _operator_rows(
+            for x in range(p):
+                rows = _operator_rows(
                     group, index, invs[x], lin_polys[x], degree, spec, _NON_SUB, 0, lin_powers[x]
                 )
-                for x in range(p)
-            ]
-            systems = _cycle_systems(base, ops, one, True, f"cycle solve at degree {degree}")
-            groups[degree].append((group, index, systems))
+                stacked[x].extend([[(col + offset, w) for col, w in row] for row in rows])
+            offset += len(group)
+        keys = [k for group in groups for k in group]
+        systems[degree] = (
+            keys,
+            {k: i for i, k in enumerate(keys)},
+            _cycle_systems(base, stacked, one, True, f"cycle solve at degree {degree}"),
+        )
 
     return TaylorPlan(
         ext=ext,
@@ -514,8 +529,9 @@ def plan_taylor(
         # one power table per fiber serves every degree's H o F and the
         # final check of every solve on this plan
         fiber_powers=[Powers(ext.fiber(x), n_taylor) for x in range(p)],
+        lin_powers=lin_powers,
         certified_exponents=certified_exponents,
-        groups=groups,
+        systems=systems,
     )
 
 
@@ -535,11 +551,9 @@ def solve_taylor(
     sections = _SectionSource(lift, spec, dims, mode, p, d)
     used_sections: dict[tuple[int, int], PolyMap] = {}
 
-    # The tables of the linear parts serve one degree's hn o L; P o H needs
-    # a fresh table each degree, as H grows.
-    fiber_powers = plan.fiber_powers
+    # P o H needs a fresh table each degree, as H grows.
+    fiber_powers, lin_powers = plan.fiber_powers, plan.lin_powers
     for degree in range(2, n_taylor + 1):
-        lin_powers = [Powers(lin_polys[x], degree) for x in range(p)]
         rn = []
         for x in range(p):
             fx = base.image(x)
@@ -548,13 +562,9 @@ def solve_taylor(
             rn.append(lhs.sub(rhs))
         pulled = [left_linear(invs[x], rn[x]) for x in range(p)]
 
-        hbar_coeffs: list[dict] = [{} for _ in range(p)]
-        for group, index, systems in plan.groups[degree]:
-            rhs = [_coords(pulled[x], group, index) for x in range(p)]
-            sols = _solve_cycles(systems, rhs)
-            for x in range(p):
-                hbar_coeffs[x].update(zip(group, sols[x]))
-        hbar = [PolyMap._trusted(dims, dims, degree, mode, c) for c in hbar_coeffs]
+        keys, index, systems = plan.systems[degree]
+        sols = _solve_cycles(systems, [_coords(pulled[x], keys, index) for x in range(p)])
+        hbar = [PolyMap._trusted(dims, dims, degree, mode, dict(zip(keys, sol))) for sol in sols]
 
         hn = []
         for x in range(p):
@@ -567,17 +577,15 @@ def solve_taylor(
 
         for x in range(p):
             fx = base.image(x)
-            pn = (
-                rn[x]
-                .add(lin_powers[x].compose(hn[fx]))
-                .sub(left_linear(mats[x], hn[x]))
-            )
+            pushed = rn[x].add(lin_powers[x].compose(hn[fx], degree))
+            pulled_back = left_linear(mats[x], hn[x])
             if degree > d:
-                if not pn.vanishes(float_tol, pn):
-                    raise BuildError(
-                        f"normal form degree-{degree} residue {float(pn.max_abs()):.3e}"
-                    )
+                # the residue is its own scale, which for tol < 1 is scale 0
+                if not agrees(pushed, pulled_back, float_tol):
+                    residue = pushed.sub(pulled_back).max_abs()
+                    raise BuildError(f"normal form degree-{degree} residue {float(residue):.3e}")
             else:
+                pn = pushed.sub(pulled_back)
                 if not project(pn, spec, _NON_SUB).vanishes(float_tol, pn):
                     raise BuildError(
                         f"non-sub-resonance residue in the normal form at degree {degree}"
@@ -590,9 +598,8 @@ def solve_taylor(
         fx = base.image(x)
         lhs = fiber_powers[x].compose(h[fx])
         rhs = compose(p_poly[x], h[x], n_taylor)
-        diff = lhs.sub(rhs)
-        if not diff.vanishes(float_tol, lhs):
-            raise BuildError(f"jet conjugacy residual {float(diff.max_abs()):.3e}")
+        if not agrees(lhs, rhs, float_tol, lhs):
+            raise BuildError(f"jet conjugacy residual {float(lhs.sub(rhs).max_abs()):.3e}")
 
     tol = 0 if mode == RATIONAL else float_tol
     p_group = tuple(make_group_element(pm, spec, "sub-resonance", tol=tol) for pm in p_poly)
@@ -703,6 +710,12 @@ def reduce_family(
         [g.poly for g in p_elems], "normal form linear part"
     )
     d_mats = [_block_diag_part(m, dims) for m in a_mats]
+    # One power table per fixed inner map, read at every degree and by the
+    # backward operator rows.  P's serves the final check at d*d too; the
+    # images of linear maps are homogeneous, so cap d keeps all of them.
+    p_powers = [Powers(g.poly, d * d) for g in p_elems]
+    a_powers = [Powers(a, d) for a in a_polys]
+    a_inv_powers = [Powers(a_inv, d) for a_inv in a_inv_polys]
 
     sections = _SectionSource(lift, spec, dims, mode, base.p, d, classes=res_only)
     used_sections: dict[tuple[int, int], PolyMap] = {}
@@ -710,8 +723,11 @@ def reduce_family(
 
     def backward_systems(keys, index, degree):
         ops = [
-            _operator_rows(keys, index, dm, a_inv, degree, spec, _LEAVES_STRICT, float_tol)
-            for dm, a_inv in zip(d_mats, a_inv_polys)
+            _operator_rows(
+                keys, index, d_mats[x], a_inv_polys[x], degree, spec, _LEAVES_STRICT, float_tol,
+                a_inv_powers[x],
+            )
+            for x in range(base.p)
         ]
         return _cycle_systems(base, ops, one, False, f"reduction solve at degree {degree}")
 
@@ -734,7 +750,7 @@ def reduce_family(
                 1,
                 mode,
             )
-            rhs.append(_coords(compose(u_poly.scale(-1), a_inv_polys[x], 1), ss1, index))
+            rhs.append(_coords(compose_part(u_poly.scale(-1), a_inv_powers[x], 1), ss1, index))
         sols = _solve_cycles(systems, rhs)
         h1 = [_poly_from_coords(dims, 1, ss1, vec, mode) for vec in sols]
 
@@ -742,6 +758,8 @@ def reduce_family(
     p_res = [from_linear(d_mats[x], dims, dims, 1, mode).jet(1) for x in range(base.p)]
     g1_polys = [h_prime[x].jet(1) for x in range(base.p)]
     *_, g1_inv_polys = _linear_data(g1_polys, "degree-1 change of coordinates")
+    g1_powers = [Powers(g1, d) for g1 in g1_polys]
+    g1_inv_powers = [Powers(g1_inv, d) for g1_inv in g1_inv_polys]
 
     for degree in range(2, d + 1):
         ss = class_basis(spec, dims, degree, {TypeClass.STRICT_SUB})
@@ -752,8 +770,8 @@ def reduce_family(
         k_parts, deltas = [], []
         for x in range(base.p):
             fx = base.image(x)
-            lhs = compose(h_prime[fx], p_elems[x].poly, degree).homogeneous_part(degree)
-            rhs = compose(p_res[x], h_prime[x], degree).homogeneous_part(degree)
+            lhs = compose_part(h_prime[fx], p_powers[x], degree)
+            rhs = compose_part(p_res[x], Powers(h_prime[x], degree), degree)
             k = lhs.sub(rhs)
             if not project(k, spec, _NON_SUB).vanishes(float_tol, k):
                 raise BuildError(f"unexpected non-sub-resonance terms: defect at degree {degree}")
@@ -774,15 +792,15 @@ def reduce_family(
                 # lift's interaction with the triangular linear term, minus
                 # the correction aligning the resonance complement with the
                 # degree-1 change of coordinates.
-                w_known = k_parts[x].add(compose(deltas[fx], a_polys[x], degree)).sub(
+                w_known = k_parts[x].add(compose_part(deltas[fx], a_powers[x], degree)).sub(
                     left_linear(d_mats[x], deltas[x])
                 )
                 rho = project(w_known, spec, res_only)
-                correction = compose(rho, g1_polys[x], degree).sub(rho)
+                correction = compose_part(rho, g1_powers[x], degree).sub(rho)
                 c_poly = (
                     correction.sub(project(w_known, spec, {TypeClass.STRICT_SUB}))
                 )
-                rhs.append(_coords(compose(c_poly, a_inv_polys[x], degree), ss, index))
+                rhs.append(_coords(compose_part(c_poly, a_inv_powers[x], degree), ss, index))
             sols = _solve_cycles(systems, rhs)
             h_n = [_poly_from_coords(dims, degree, ss, vec, mode) for vec in sols]
 
@@ -791,10 +809,10 @@ def reduce_family(
         for x in range(base.p):
             fx = base.image(x)
             hn_full = deltas[fx].add(h_n[fx])
-            v = k_parts[x].add(compose(hn_full, a_polys[x], degree)).sub(
+            v = k_parts[x].add(compose_part(hn_full, a_powers[x], degree)).sub(
                 left_linear(d_mats[x], deltas[x].add(h_n[x]))
             )
-            p_n = compose(v, g1_inv_polys[x], degree)
+            p_n = compose_part(v, g1_inv_powers[x], degree)
             off = project(p_n, spec, {TypeClass.STRICT_SUB, TypeClass.NON_SUB})
             if not off.vanishes(float_tol, p_n):
                 raise BuildError(f"resonance form keeps a strict term at degree {degree}")
@@ -803,11 +821,10 @@ def reduce_family(
 
     for x in range(base.p):
         fx = base.image(x)
-        lhs = compose(h_prime[fx], p_elems[x].poly, d * d)
+        lhs = p_powers[x].compose(h_prime[fx])
         rhs = compose(p_res[x], h_prime[x], d * d)
-        diff = lhs.sub(rhs)
-        if not diff.vanishes(float_tol, lhs):
-            raise BuildError(f"resonance conjugacy residual {float(diff.max_abs()):.3e}")
+        if not agrees(lhs, rhs, float_tol, lhs):
+            raise BuildError(f"resonance conjugacy residual {float(lhs.sub(rhs).max_abs()):.3e}")
 
     tol = 0 if mode == RATIONAL else float_tol
     return ResonanceResult(

@@ -174,12 +174,18 @@ class PolyMap:
     def _trusted(cls, source, target, cap, mode, coeffs) -> "PolyMap":
         """Internal constructor for coefficients computed from validated maps:
         no validation, but zero coefficients are still dropped."""
+        return cls._kept(source, target, cap, mode, {k: v for k, v in coeffs.items() if v})
+
+    @classmethod
+    def _kept(cls, source, target, cap, mode, coeffs: dict) -> "PolyMap":
+        """Internal constructor for a new dict of terms kept from a map:
+        they are nonzero already, so nothing is filtered."""
         self = object.__new__(cls)
         self.source = source
         self.target = target
         self.cap = cap
         self.mode = mode
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        self.coeffs = coeffs
         self._terms = None
         self._compiled = None
         return self
@@ -269,13 +275,13 @@ class PolyMap:
 
     def homogeneous_part(self, degree: int) -> "PolyMap":
         kept = {k: v for k, v in self.coeffs.items() if sum(k[1]) == degree}
-        return PolyMap._trusted(self.source, self.target, max(degree, 1), self.mode, kept)
+        return PolyMap._kept(self.source, self.target, max(degree, 1), self.mode, kept)
 
     def jet(self, cap: int) -> "PolyMap":
         if cap < 1:
             raise ValueError(f"degree cap must be >= 1, got {cap}")
         kept = {k: v for k, v in self.coeffs.items() if sum(k[1]) <= cap}
-        return PolyMap._trusted(self.source, self.target, cap, self.mode, kept)
+        return PolyMap._kept(self.source, self.target, cap, self.mode, kept)
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
@@ -363,6 +369,18 @@ def _compile(pmap: PolyMap) -> tuple[np.ndarray, np.ndarray, int]:
     for (coord, e), value in pmap.coeffs.items():
         coef[index[e], coord] = value
     return exps, coef, int(exps.max(initial=0))
+
+
+def agrees(a: PolyMap, b: PolyMap, tol: float, scale=0.0) -> bool:
+    """a.sub(b).vanishes(tol, scale), the one equality test for maps.
+
+    Rational coefficients are canonical fractions with the zeros dropped,
+    so there the difference vanishes exactly when the term dicts are equal
+    and nothing is subtracted."""
+    if a.mode == RATIONAL:
+        a._check_compatible(b)
+        return a.coeffs == b.coeffs
+    return a.sub(b).vanishes(tol, scale)
 
 
 def zero_map(source: GradedDims, target: GradedDims, cap: int, mode: str) -> PolyMap:
@@ -568,17 +586,21 @@ def invert(pmap: PolyMap, cap: int, float_tol: float = 1e-9) -> PolyMap:
     inv = from_linear(a_inv, pmap.target, pmap.source, cap, pmap.mode)
     higher = pmap.sub(pmap.jet(1), cap=pmap.cap)
     for degree in range(2, cap + 1):
-        defect = compose(higher, inv, degree).homogeneous_part(degree)
+        defect = compose_part(higher, Powers(inv, degree), degree)
         if defect.is_zero():
             continue
         correction = left_linear(a_inv, defect.scale(-1), target=pmap.source)
         inv = inv.add(correction, cap=cap)
-    check = compose(pmap, inv, cap).sub(identity_map(pmap.source, cap, pmap.mode))
-    if not check.vanishes(float_tol, inv):
-        raise AssertionError(
-            f"formal inverse residual {float(check.max_abs()):.3e} beyond tolerance"
-        )
+    _assert_identity(compose(pmap, inv, cap), cap, float_tol, inv, "formal inverse")
     return inv
+
+
+def _assert_identity(composite: PolyMap, cap: int, float_tol: float, scale, what: str) -> None:
+    """Raise AssertionError unless the composite is the identity to cap."""
+    ident = identity_map(composite.source, cap, composite.mode)
+    if not agrees(composite, ident, float_tol, scale):
+        residual = composite.sub(ident).max_abs()
+        raise AssertionError(f"{what} residual {float(residual):.3e} beyond tolerance")
 
 
 # -- class projections --------------------------------------------------
@@ -598,7 +620,7 @@ def project(pmap: PolyMap, spec: SpectrumSpec, classes: Iterable[TypeClass]) -> 
     classes = frozenset(classes)
     class_of = _class_of(pmap, spec)
     kept = {k: v for k, v in pmap.coeffs.items() if class_of(*k) in classes}
-    return PolyMap._trusted(pmap.source, pmap.target, pmap.cap, pmap.mode, kept)
+    return PolyMap._kept(pmap.source, pmap.target, pmap.cap, pmap.mode, kept)
 
 
 def max_off_class(pmap: PolyMap, spec: SpectrumSpec, classes: Iterable[TypeClass]):
@@ -667,11 +689,7 @@ def group_inverse(g: GroupElement, spec: SpectrumSpec, tol=0, float_tol: float =
     """
     d = degree_bound(spec)
     inv = invert(g.poly, d).jet(d)
-    full = compose(g.poly, inv, d * d).sub(identity_map(g.dims, d * d, g.poly.mode))
-    if not full.vanishes(float_tol, inv):
-        raise AssertionError(
-            f"group inverse residual {float(full.max_abs()):.3e} beyond tolerance"
-        )
+    _assert_identity(compose(g.poly, inv, d * d), d * d, float_tol, inv, "group inverse")
     return make_group_element(inv, spec, g.tag, tol=tol)
 
 

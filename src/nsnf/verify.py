@@ -13,7 +13,7 @@ import numpy as np
 from .base import Extension
 from .evaluator import EvalConfig, Evaluator, evaluate_at, interleave
 from .normal_form import NormalFormResult, ResonanceResult, pinned_lift
-from .polymap import GROUP_TAGS, PolyMap, compose, invert, project, vanishing
+from .polymap import GROUP_TAGS, PolyMap, agrees, compose, invert, project, vanishing
 from .spectrum import TypeClass, criticality, degree_bound
 
 
@@ -132,9 +132,9 @@ def check_linearization(nf: NormalFormResult, float_tol: float = 1e-9) -> bool:
     for x in range(nf.ext.base.p):
         p = nf.p_poly(x)
         lin = p.jet(1)
-        if not p.sub(lin).vanishes(float_tol, p):
+        if not agrees(p, lin, float_tol, p):
             return False
-        if not lin.sub(nf.ext.fiber(x).jet(1)).vanishes(float_tol):
+        if not agrees(lin, nf.ext.fiber(x).jet(1), float_tol):
             return False
     return True
 
@@ -183,7 +183,7 @@ def check_centralizer(
     for x in range(f.p):
         lhs = compose(ext_g.fiber(f.image(x)), ext_f.fiber(x), cap)
         rhs = compose(ext_f.fiber(g.image(x)), ext_g.fiber(x), cap)
-        if not lhs.sub(rhs).vanishes(float_tol, lhs):
+        if not agrees(lhs, rhs, float_tol, lhs):
             raise VerifyError(
                 "commutation", f"extensions do not commute over point {x}"
             )

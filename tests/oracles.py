@@ -329,3 +329,155 @@ def poly_mul_reference(p, q, cap):
             w = out.get(e)
             out[e] = v1 * v2 if w is None else w + v1 * v2
     return {e: v for e, v in out.items() if v}
+
+
+def invert_reference(pmap, cap):
+    """The back substitution of `polymap.invert` as written when each
+    degree's defect was the homogeneous part of a whole composition on a
+    fresh table: the bitwise reference of the degree-n composition.  The
+    closing identity check is left out."""
+    from nsnf import linsolve
+    from nsnf.polymap import compose, from_linear, left_linear
+
+    a_inv = linsolve.invert(pmap.linear_matrix())
+    inv = from_linear(a_inv, pmap.target, pmap.source, cap, pmap.mode)
+    higher = pmap.sub(pmap.jet(1), cap=pmap.cap)
+    for degree in range(2, cap + 1):
+        defect = compose(higher, inv, degree).homogeneous_part(degree)
+        if defect.is_zero():
+            continue
+        correction = left_linear(a_inv, defect.scale(-1), target=pmap.source)
+        inv = inv.add(correction, cap=cap)
+    return inv
+
+
+def reduce_family_reference(base, spec, p_elems, lift=None, float_tol=1e-9):
+    """The resonance reduction of `normal_form.reduce_family` as written
+    when every degree composed whole maps, each on a fresh table, and kept
+    their homogeneous part: the bitwise reference of the reduction on
+    shared tables.  Returns the degree-d jets of H' and of the resonance
+    form per base point; the consistency checks are left out."""
+    from nsnf import normal_form as nfm
+    from nsnf.polymap import (
+        class_basis,
+        compose,
+        from_linear,
+        identity_map,
+        left_linear,
+        project,
+        zero_map,
+    )
+    from nsnf.spectrum import TypeClass, degree_bound
+
+    lift = lift or nfm.complement_lift()
+    dims = p_elems[0].dims
+    mode = p_elems[0].poly.mode
+    d = degree_bound(spec)
+    one = Fraction(1) if mode == "rational" else 1.0
+    res_only = frozenset({TypeClass.RESONANCE})
+    strict = frozenset({TypeClass.STRICT_SUB})
+    leaves = frozenset({TypeClass.RESONANCE, TypeClass.NON_SUB})
+
+    a_mats, _, a_polys, a_inv_polys = nfm._linear_data([g.poly for g in p_elems], "P")
+    d_mats = [nfm._block_diag_part(m, dims) for m in a_mats]
+    sections = nfm._SectionSource(lift, spec, dims, mode, base.p, d, classes=res_only)
+
+    def backward_systems(keys, index, degree):
+        ops = [
+            nfm._operator_rows(keys, index, dm, a_inv, degree, spec, leaves, float_tol)
+            for dm, a_inv in zip(d_mats, a_inv_polys)
+        ]
+        return nfm._cycle_systems(base, ops, one, False, "reduction")
+
+    ss1 = class_basis(spec, dims, 1, strict)
+    h1 = [zero_map(dims, dims, 1, mode) for _ in range(base.p)]
+    if ss1 and not nfm._all_block_diagonal(a_mats, dims):
+        index = {k: i for i, k in enumerate(ss1)}
+        systems = backward_systems(ss1, index, 1)
+        rhs = []
+        for x in range(base.p):
+            u = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(a_mats[x], d_mats[x])]
+            u_poly = from_linear(u, dims, dims, 1, mode)
+            rhs.append(nfm._coords(compose(u_poly.scale(-1), a_inv_polys[x], 1), ss1, index))
+        sols = nfm._solve_cycles(systems, rhs)
+        h1 = [nfm._poly_from_coords(dims, 1, ss1, vec, mode) for vec in sols]
+
+    h_prime = [identity_map(dims, d, mode).add(h1[x]) for x in range(base.p)]
+    p_res = [from_linear(d_mats[x], dims, dims, 1, mode).jet(1) for x in range(base.p)]
+    g1_polys = [h_prime[x].jet(1) for x in range(base.p)]
+    *_, g1_inv_polys = nfm._linear_data(g1_polys, "G1")
+
+    for degree in range(2, d + 1):
+        ss = class_basis(spec, dims, degree, strict)
+        k_parts, deltas = [], []
+        for x in range(base.p):
+            fx = base.image(x)
+            lhs = compose(h_prime[fx], p_elems[x].poly, degree).homogeneous_part(degree)
+            rhs = compose(p_res[x], h_prime[x], degree).homogeneous_part(degree)
+            k_parts.append(lhs.sub(rhs))
+            deltas.append(sections.section(x, degree))
+
+        h_n = [zero_map(dims, dims, degree, mode) for _ in range(base.p)]
+        if ss:
+            index = {k: i for i, k in enumerate(ss)}
+            systems = backward_systems(ss, index, degree)
+            rhs = []
+            for x in range(base.p):
+                fx = base.image(x)
+                w_known = k_parts[x].add(compose(deltas[fx], a_polys[x], degree)).sub(
+                    left_linear(d_mats[x], deltas[x])
+                )
+                rho = project(w_known, spec, res_only)
+                correction = compose(rho, g1_polys[x], degree).sub(rho)
+                c_poly = correction.sub(project(w_known, spec, strict))
+                rhs.append(nfm._coords(compose(c_poly, a_inv_polys[x], degree), ss, index))
+            sols = nfm._solve_cycles(systems, rhs)
+            h_n = [nfm._poly_from_coords(dims, degree, ss, vec, mode) for vec in sols]
+
+        for x in range(base.p):
+            h_prime[x] = h_prime[x].add(deltas[x]).add(h_n[x])
+        for x in range(base.p):
+            fx = base.image(x)
+            hn_full = deltas[fx].add(h_n[fx])
+            v = k_parts[x].add(compose(hn_full, a_polys[x], degree)).sub(
+                left_linear(d_mats[x], deltas[x].add(h_n[x]))
+            )
+            p_n = compose(v, g1_inv_polys[x], degree)
+            p_res[x] = p_res[x].add(project(p_n, spec, res_only), cap=d)
+
+    return [pm.jet(d) for pm in h_prime], [pm.jet(d) for pm in p_res]
+
+
+def per_group_cycle_solutions(plan, degree, rhs):
+    """The Taylor build's cycle solves at one degree, group by group, as
+    the build plan set them up before it stacked the invariant groups into
+    one system per cycle: every group gets its own operator rows, on a
+    linear power table of cap `degree`, and its own cycle systems.
+    `rhs[x]` maps each solve key to its value at base point x; the
+    solutions come back in the same form, groups in order."""
+    from nsnf import normal_form as nfm
+    from nsnf.polymap import Powers, class_basis
+    from nsnf.spectrum import TypeClass
+
+    ext, spec = plan.ext, plan.spec
+    dims, p = ext.dims, ext.base.p
+    one = Fraction(1) if ext.mode == "rational" else 1.0
+    non_sub = frozenset({TypeClass.NON_SUB})
+    keys = class_basis(spec, dims, degree, non_sub)
+    diagonal = nfm._all_block_diagonal(plan.mats, dims)
+    lin_powers = [Powers(plan.lin_polys[x], degree) for x in range(p)]
+    out = [{} for _ in range(p)]
+    for group in nfm._grouped_basis(keys, dims, diagonal):
+        index = {k: i for i, k in enumerate(group)}
+        ops = [
+            nfm._operator_rows(
+                group, index, plan.invs[x], plan.lin_polys[x], degree, spec, non_sub, 0,
+                lin_powers[x],
+            )
+            for x in range(p)
+        ]
+        systems = nfm._cycle_systems(ext.base, ops, one, True, "per-group solve")
+        sols = nfm._solve_cycles(systems, [[rhs[x][k] for k in group] for x in range(p)])
+        for x in range(p):
+            out[x].update(zip(group, sols[x]))
+    return out

@@ -3,6 +3,7 @@ closed forms and independent series / doubled-cycle oracles."""
 
 import json
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from nsnf.polymap import (
     compose,
     from_linear,
     identity_map,
+    invert,
     make_group_element,
 )
 from nsnf.rand_instances import random_instance
@@ -48,6 +50,9 @@ from oracles import (
     cycle_operator,
     degree2_cocycle_data,
     doubled_cycle_pull_solution,
+    invert_reference,
+    per_group_cycle_solutions,
+    reduce_family_reference,
 )
 
 
@@ -266,11 +271,14 @@ def test_lift_section_validation():
 
 
 def _plan_cases():
-    ri = random_instance(15)
+    ri, ri26 = random_instance(15), random_instance(26)
     return {
         "worked_2block": (worked_extension(RATIONAL), SPEC21, 3, 0),
         "three_cycle": (three_cycle_extension(), SPEC21, 3, 0),
+        # one 4-cycle, 5-10 invariant groups per degree
         "random_15": (ri.ext, ri.spec, ri.n_taylor, ri.alpha),
+        # a 3-cycle and a fixed point, 15-45 invariant groups per degree
+        "random_26": (ri26.ext, ri26.spec, ri26.n_taylor, ri26.alpha),
     }
 
 
@@ -302,6 +310,61 @@ def test_rebuild_on_plan_equals_fresh_build(case, mode):
     pinned = pinned_lift(fresh.sub_res_jets())
     assert _exact(nf.rebuild(pinned)) == _exact(build_taylor(ext, spec, n, alpha, lift=pinned))
     assert _exact(nf.rebuild(pinned)) == _exact(fresh)
+
+
+def _ordered(poly):
+    """The terms of a map in its own key order; floats by their bit pattern."""
+    return [(k, v.hex() if isinstance(v, float) else v) for k, v in poly.coeffs.items()]
+
+
+def _case_in(case, mode):
+    ext, spec, n, alpha = _plan_cases()[case]
+    return (ext.to_float() if mode == FLOAT else ext), spec, n, alpha
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("case", ["three_cycle", "random_15", "random_26"])
+def test_stacked_cycle_systems_equal_per_group_solves(case, mode):
+    ext, spec, n, alpha = _case_in(case, mode)
+    plan = nfm.plan_taylor(ext, spec, n, alpha)
+    rng = random.Random(case)
+    for degree in range(2, n + 1):
+        keys, index, systems = plan.systems[degree]
+        assert sorted(keys) == sorted(class_basis(spec, ext.dims, degree, {TypeClass.NON_SUB}))
+        assert index == {k: i for i, k in enumerate(keys)}
+        rhs = []
+        for _ in range(ext.base.p):
+            values = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in keys]
+            rhs.append({k: (v if mode == RATIONAL else float(v)) for k, v in zip(keys, values)})
+        stacked = nfm._solve_cycles(systems, [[r[k] for k in keys] for r in rhs])
+        reference = per_group_cycle_solutions(plan, degree, rhs)
+        for sol, ref in zip(stacked, reference):
+            got = [(k, v.hex() if mode == FLOAT else v) for k, v in zip(keys, sol)]
+            want = [(k, v.hex() if mode == FLOAT else v) for k, v in ref.items()]
+            assert got == want
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("case", ["worked_2block", "three_cycle", "random_15"])
+def test_invert_matches_whole_composition_loop(case, mode):
+    ext, spec, n, alpha = _case_in(case, mode)
+    nf = build_taylor(ext, spec, n, alpha, lift=seeded_lift(7))
+    maps = list(nf.h_taylor) + [g.poly for g in nf.p_normal]
+    for pmap in maps:
+        for cap in sorted({2, n}):
+            assert _ordered(invert(pmap, cap)) == _ordered(invert_reference(pmap, cap))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("case", ["worked_2block", "three_cycle", "random_15"])
+def test_reduction_matches_whole_composition_loop(case, mode):
+    ext, spec, n, alpha = _case_in(case, mode)
+    nf = build_taylor(ext, spec, n, alpha)
+    for lift in (None, seeded_lift(3)):
+        red = reduce_family(ext.base, spec, nf.p_normal, lift=lift)
+        h_ref, p_ref = reduce_family_reference(ext.base, spec, nf.p_normal, lift=lift)
+        assert [_ordered(g.poly) for g in red.h_prime] == [_ordered(h) for h in h_ref]
+        assert [_ordered(g.poly) for g in red.p_res] == [_ordered(pm) for pm in p_ref]
 
 
 def test_validation_runs_once_per_all_run(monkeypatch, tmp_path):

@@ -12,6 +12,7 @@ from nsnf.polymap import (
     GradedDims,
     PolyMap,
     Powers,
+    agrees,
     compose,
     compose_part,
     from_records,
@@ -187,6 +188,27 @@ class TestTrustedPaths:
         both = PolyMap(D11, D11, 2, RATIONAL, {(0, (0, 2)): F(3), (1, (0, 2)): F(3)})
         out = left_linear([[F(1), F(-1)], [F(0), F(1)]], both)
         assert out.coeffs == {(1, (0, 2)): F(3)}
+
+    def test_kept_subsets_skip_the_zero_filter(self, monkeypatch):
+        # homogeneous_part, jet and project keep terms of a map, which are
+        # nonzero already: no coefficient is truth-tested again
+        p = compose(worked_p(), shear(), 3)
+        tests = []
+        real_bool = F.__bool__
+        monkeypatch.setattr(F, "__bool__", lambda v: tests.append(v) or real_bool(v))
+        part, jet, sub = p.homogeneous_part(2), p.jet(2), project(p, SPEC21, SUB_RESONANCE)
+        monkeypatch.undo()
+        assert tests == []
+        assert part.coeffs == {k: v for k, v in p.coeffs.items() if sum(k[1]) == 2}
+        assert jet.coeffs == {k: v for k, v in p.coeffs.items() if sum(k[1]) <= 2}
+
+        def sub_res(c, e):
+            return SPEC21.type_class(D11.block_of[c], D11.block_degrees(e)) in SUB_RESONANCE
+
+        assert sub.coeffs and sub.coeffs == {k: v for k, v in p.coeffs.items() if sub_res(*k)}
+        for kept in (part, jet, sub):
+            assert kept.coeffs is not p.coeffs and all(kept.coeffs.values())
+        assert (part.cap, jet.cap, sub.cap) == (2, 2, p.cap)
 
     def test_public_constructor_still_validates(self):
         with pytest.raises(ValueError, match="exceeds cap"):
@@ -436,3 +458,66 @@ class TestVanishesAgainstReferenceMap:
         above = PolyMap(D11, D11, 1, FLOAT, {(0, (1, 0)): math.nextafter(8e-9, 1.0)})
         assert at.vanishes(1e-9, ref) and at.vanishes(1e-9, ref.max_abs())
         assert not above.vanishes(1e-9, ref)
+
+
+# -- agrees: the equality test of two maps -------------------------------
+
+TINY = F(1, 2**200)
+
+
+@st.composite
+def map_pairs(draw, shape):
+    """(a, b) in one of the shapes the checks meet: equal maps, one
+    coefficient off by 2^-200, disjoint supports, zero maps, unrelated maps."""
+    a = draw(endo_poly_maps(D11, 3))
+    if shape == "equal":
+        b = PolyMap(D11, D11, 3, RATIONAL, dict(a.coeffs))
+    elif shape == "nudged":
+        key = draw(st.sampled_from(sorted(a.coeffs)))
+        b = PolyMap(D11, D11, 3, RATIONAL, {**a.coeffs, key: a.coeffs[key] + TINY})
+    elif shape == "disjoint":
+        free = [k for d in (2, 3) for k in monomial_basis(D11, d) if k not in a.coeffs]
+        picks = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+        values = [draw(st.sampled_from([TINY, F(1, 3)])) for _ in picks]
+        b = PolyMap(D11, D11, 3, RATIONAL, dict(zip(picks, values)))
+    elif shape == "zero":
+        a = b = zero_map(D11, D11, 3, RATIONAL)
+    elif shape == "one_zero":
+        b = zero_map(D11, D11, 3, RATIONAL)
+    else:
+        b = draw(endo_poly_maps(D11, 3))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("shape", ["equal", "nudged", "disjoint", "zero", "one_zero", "other"])
+@given(data=st.data())
+def test_agrees_is_the_vanishing_difference(shape, mode, data):
+    a, b = data.draw(map_pairs(shape))
+    if mode == FLOAT:
+        a, b = a.to_float(), b.to_float()
+    tol = data.draw(st.sampled_from([0.0, 2.0**-210, 1e-9, 0.5]))
+    scale = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, 0.25, 3.0, 1e12]),
+            st.sampled_from([a, b, identity_map(D11, 3, mode).scale(9)]),
+        )
+    )
+    assert agrees(a, b, tol, scale) == a.sub(b).vanishes(tol, scale)
+
+
+def test_agrees_is_exact_in_rational_mode():
+    p = worked_p()
+    nudged = PolyMap(D11, D11, 2, RATIONAL, {**p.coeffs, (0, (0, 2)): F(1) + TINY})
+    assert agrees(p, PolyMap(D11, D11, 3, RATIONAL, dict(p.coeffs)), 0)
+    assert not agrees(p, nudged, 1e-9, 1e9)
+    # the same pair in binary64 rounds the nudge away
+    assert agrees(p.to_float(), nudged.to_float(), 0.0)
+    assert not agrees(p, zero_map(D11, D11, 2, RATIONAL), 1e-9)
+
+
+def test_agrees_rejects_what_sub_rejects():
+    with pytest.raises(ValueError, match="modes differ"):
+        agrees(worked_p(), worked_p().to_float(), 1e-9)
+    with pytest.raises(ValueError, match="shapes differ"):
+        agrees(worked_p(), zero_map(GradedDims([2]), GradedDims([2]), 2, RATIONAL), 1e-9)
