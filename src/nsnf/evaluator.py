@@ -28,6 +28,10 @@ from .normal_form import NormalFormResult
 from .polymap import group_inverse
 
 
+# `survey` also checks the one-step gap at every this-many-th residual sample.
+ONE_STEP_EVERY = 20
+
+
 class EvalError(RuntimeError):
     """The invariance iteration failed to converge within its budget."""
 
@@ -239,9 +243,7 @@ class Evaluator:
         self.ext = nf.ext
         self.spec = nf.spec
         self.base = nf.ext.base
-        self.p_inv = [
-            group_inverse(g, nf.spec, tol=1e-9).poly for g in nf.p_normal
-        ]
+        self.p_inv = [group_inverse(g, nf.spec).poly for g in nf.p_normal]
         self.p_maps = [g.poly for g in nf.p_normal]
         self._perm = np.array(self.base.perm, dtype=np.intp)
 
@@ -327,33 +329,17 @@ class Evaluator:
         ft = evaluate_at(self.ext.fibers, xs, points)
         return interleave(xs, self._perm[xs]), interleave(points, ft)
 
-    def _here_and_there(self, xs, points, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Limits at (x, t) and one step on, at (f(x), F_x(t)), evaluated as
-        one batch in draw order."""
-        xs = np.asarray(xs, dtype=np.intp)
-        points = np.asarray(points, dtype=float).reshape(len(xs), self.ext.dims.total)
-        values = self.limits(*self._paired(xs, points), cfg).values
-        return values[0::2], values[1::2]
-
     def _residuals(self, xs, here, there) -> np.ndarray:
         """|H_{fx}(F_x(t)) - P_x(H_x(t))| per row."""
         return _sup(there - evaluate_at(self.p_maps, xs, here))
 
-    def _one_step_gaps(self, xs, here, there) -> np.ndarray:
-        """|H_x(t) - P_x^{-1}(H_{fx}(F_x(t)))| per row."""
-        return _sup(here - evaluate_at(self.p_inv, xs, there))
-
-    def residual(self, x: int, t, cfg: EvalConfig | None = None) -> float:
-        """Defect of the conjugacy identity at the converged limit."""
+    def residual(self, x: int, t) -> float:
+        """Defect of the conjugacy identity at the converged limit: the
+        limits at (x, t) and one step on, at (f(x), F_x(t)), in one batch."""
         xs = np.array([x], dtype=np.intp)
-        here, there = self._here_and_there(xs, [t], cfg or self.cfg)
-        return float(self._residuals(xs, here, there)[0])
-
-    def one_step_gap(self, x: int, t, cfg: EvalConfig | None = None) -> float:
-        """Single-step invariance: H_x(t) against P_x^{-1}(H_{fx}(F_x(t)))."""
-        xs = np.array([x], dtype=np.intp)
-        here, there = self._here_and_there(xs, [t], cfg or self.cfg)
-        return float(self._one_step_gaps(xs, here, there)[0])
+        points = np.asarray(t, dtype=float).reshape(1, self.ext.dims.total)
+        values = self.limits(*self._paired(xs, points)).values
+        return float(self._residuals(xs, values[0::2], values[1::2])[0])
 
     def sample_points(self, seed: int, samples: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """A deterministic ball sample: base points uniformly, fiber vectors
@@ -363,13 +349,7 @@ class Evaluator:
         return ball_sample(seed, self.base.p, self.ext.dims.total, samples, radius)
 
     def survey(
-        self,
-        seed: int,
-        samples: int,
-        rays=(),
-        radii=None,
-        cfg: EvalConfig | None = None,
-        one_step_every: int = 20,
+        self, seed: int, samples: int, rays=(), radii=None
     ) -> tuple[ResidualStats, list[OrderFit]]:
         """Residual statistics over the ball sample of `sample_points` and a
         contact-order fit along each ray (x, direction), all limits in one
@@ -381,7 +361,7 @@ class Evaluator:
         tolerance sit at the noise floor and are left out of the fits; a fit
         with fewer than two usable radii is degenerate.
         """
-        cfg = cfg or self.cfg
+        cfg = self.cfg
         if radii is None:
             radii = [cfg.radius * 2.0 ** (-j) for j in range(4)]
         radii = tuple(float(r) for r in radii)
@@ -393,14 +373,15 @@ class Evaluator:
         xs, points = self.sample_points(seed, samples, cfg.radius)
         pair_xs, pair_points = self._paired(xs, points)
         lim = self.limits(
-            np.concatenate([pair_xs, ray_xs]), np.concatenate([pair_points, ray_points]), cfg
+            np.concatenate([pair_xs, ray_xs]), np.concatenate([pair_points, ray_points])
         )
 
         m = 2 * samples
         here, there = lim.values[0:m:2], lim.values[1:m:2]
         residuals = self._residuals(xs, here, there).tolist()
-        checked = slice(None, None, one_step_every) if one_step_every else slice(0)
-        gaps = self._one_step_gaps(xs[checked], here[checked], there[checked])
+        checked = slice(None, None, ONE_STEP_EVERY)
+        # |H_x(t) - P_x^{-1}(H_{fx}(F_x(t)))| at every checked sample
+        gaps = _sup(here[checked] - evaluate_at(self.p_inv, xs[checked], there[checked]))
         inc = lim.increments[:, 0:m:2]
         floor = 100.0 * cfg.tol
         both = (inc[:-1] > floor) & (inc[1:] > floor)
@@ -421,24 +402,12 @@ class Evaluator:
         fits = [_contact_fit(radii, tuple(g), floor) for g in ray_gaps.tolist()]
         return stats, fits
 
-    def residual_stats(
-        self,
-        seed: int = 0,
-        samples: int = 1000,
-        cfg: EvalConfig | None = None,
-        one_step_every: int = 20,
-    ) -> ResidualStats:
+    def residual_stats(self, seed: int = 0, samples: int = 1000) -> ResidualStats:
         """Conjugacy residuals over the deterministic ball sample of
         `sample_points`; the same seed reproduces the same stats."""
-        return self.survey(seed, samples, cfg=cfg, one_step_every=one_step_every)[0]
+        return self.survey(seed, samples)[0]
 
-    def order_of_contact(
-        self,
-        x: int,
-        direction,
-        radii=None,
-        cfg: EvalConfig | None = None,
-    ) -> OrderFit:
+    def order_of_contact(self, x: int, direction, radii=None) -> OrderFit:
         """Fit the contact order of the limit against its Taylor jet along a
         ray, as `survey` does for each of its rays."""
-        return self.survey(0, 0, [(x, direction)], radii, cfg)[1][0]
+        return self.survey(0, 0, [(x, direction)], radii)[1][0]

@@ -50,6 +50,11 @@ def parse_fraction(obj, where: str) -> Fraction:
     _fail(where, f"expected a rational (int or num/den object), got {type(obj).__name__}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def fraction_json(value: Fraction) -> dict:
     value = Fraction(value)
     return {"num": value.numerator, "den": value.denominator}
@@ -65,12 +70,32 @@ class RunOptions:
     radius: float = 0.05
     force: bool = False
 
+    def __post_init__(self):
+        """Check every option once, whether it comes from an instance file
+        or from a command-line override (`dataclasses.replace` runs this
+        again); the evaluator's ranges are `EvalConfig`'s own checks."""
+        if self.lift not in ("complement", "seeded"):
+            _fail("options.lift", f"unsupported strategy {self.lift!r}")
+        for name in ("seed", "k_max", "samples"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                _fail(f"options.{name}", f"expected an integer, got {value!r}")
+        if self.samples < 0:
+            _fail("options.samples", f"expected a non-negative count, got {self.samples}")
+        for name in ("tol", "radius"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                _fail(f"options.{name}", f"expected a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not isinstance(self.force, bool):
+            _fail("options.force", f"expected true or false, got {self.force!r}")
+        try:
+            self.eval_config()
+        except ValueError as err:
+            _fail("options", str(err))
+
     def lift_strategy(self) -> LiftStrategy:
-        if self.lift == "complement":
-            return complement_lift()
-        if self.lift == "seeded":
-            return seeded_lift(self.seed)
-        raise InstanceError(f"options.lift: unsupported strategy {self.lift!r}")
+        return seeded_lift(self.seed) if self.lift == "seeded" else complement_lift()
 
     def eval_config(self) -> EvalConfig:
         return EvalConfig(tol=self.tol, k_max=self.k_max, radius=self.radius)
@@ -220,6 +245,10 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
         _fail("dims", f"{len(dims_raw)} blocks against {spec.ell} spectrum values")
     dims = GradedDims(dims_raw)
 
+    for key in ("sigma", "xi"):
+        if not _is_number(raw[key]):
+            _fail(key, f"expected a number, got {type(raw[key]).__name__}")
+
     base_block = raw["base"]
     if not isinstance(base_block, dict) or "permutation" not in base_block:
         _fail("base", "needs 'permutation' (and optional 'p')")
@@ -258,9 +287,13 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
             "commuting",
         )
         cm_reg = cm.get("regularity", {})
+        if not isinstance(cm_reg, dict):
+            _fail("commuting.regularity", "expected an object")
         commuting_n = cm_reg.get("n_taylor", n_taylor)
-        commuting_alpha = parse_fraction(
-            cm_reg.get("alpha", alpha), "commuting.regularity.alpha"
+        commuting_alpha = (
+            parse_fraction(cm_reg["alpha"], "commuting.regularity.alpha")
+            if "alpha" in cm_reg
+            else alpha
         )
         if not isinstance(commuting_n, int) or commuting_n < 1:
             _fail("commuting.regularity.n_taylor", "expected a positive integer")
@@ -276,14 +309,12 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
     options = RunOptions(
         lift=opts.get("lift", "complement"),
         seed=opts.get("seed", 0),
-        tol=float(opts.get("tol", 1e-12)),
-        k_max=int(opts.get("k_max", 200)),
-        samples=int(opts.get("samples", 1000)),
-        radius=float(opts.get("radius", min(0.05, sigma / 5.0))),
-        force=bool(opts.get("force", False)),
+        tol=opts.get("tol", 1e-12),
+        k_max=opts.get("k_max", 200),
+        samples=opts.get("samples", 1000),
+        radius=opts.get("radius", min(0.05, sigma / 5.0)),
+        force=opts.get("force", False),
     )
-    if options.lift not in ("complement", "seeded"):
-        _fail("options.lift", f"unsupported strategy {options.lift!r}")
     if options.radius > sigma:
         _fail("options.radius", "exceeds the certified ball radius sigma")
 

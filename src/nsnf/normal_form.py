@@ -21,6 +21,7 @@ from . import linsolve
 from .base import Extension, FiniteBase, ValidationReport, validate_extension
 from .polymap import (
     FLOAT,
+    FLOAT_TOL,
     RATIONAL,
     SUB_RESONANCE,
     GradedDims,
@@ -293,17 +294,6 @@ def _operator_rows(keys, index, pre, post: PolyMap, degree, spec, guard, tol, po
     return rows
 
 
-def _operator(keys, index, pre, post: PolyMap, degree, spec, guard, tol, powers=None):
-    """`_operator_rows` as a dense matrix."""
-    zero = Fraction(0) if post.mode == RATIONAL else 0.0
-    matrix = [[zero] * len(keys) for _ in keys]
-    rows = _operator_rows(keys, index, pre, post, degree, spec, guard, tol, powers)
-    for dense, row in zip(matrix, rows):
-        for col, w in row:
-            dense[col] = w
-    return matrix
-
-
 def _coords(poly: PolyMap, keys, index):
     zero = Fraction(0) if poly.mode == RATIONAL else 0.0
     vec = [zero] * len(keys)
@@ -409,22 +399,6 @@ def _all_block_diagonal(mats, dims: GradedDims) -> bool:
     return not any(entry for m in mats for _, _, entry in dims.off_block(m))
 
 
-def _grouped_basis(keys, dims, diagonal):
-    """Solve-basis keys split into invariant groups.
-
-    With block-diagonal linear parts the conjugation operator preserves each
-    (target block, block-degree vector) subspace, so the cycle solves factor
-    into small independent blocks.  Otherwise everything is one group.
-    """
-    if not diagonal:
-        return [keys] if keys else []
-    groups: dict[tuple, list] = {}
-    for c, exps in keys:
-        label = (dims.block_of[c], dims.block_degrees(exps))
-        groups.setdefault(label, []).append((c, exps))
-    return [groups[label] for label in sorted(groups)]
-
-
 def _certified_exponent(spec, dims, keys, direction) -> Fraction | None:
     labels = {(dims.block_of[c], dims.block_degrees(exps)) for c, exps in keys}
     return max(
@@ -462,10 +436,9 @@ def plan_taylor(
     """Validate the extension and set up every lift-independent part of
     its Taylor build up to degree N.
 
-    Refuses to run when validation fails, unless `force` is set.  The leak
-    guard of every fiber's operator is exact in both modes: with
-    block-diagonal linear parts the forward operator keeps each group
-    exactly.
+    Refuses to run when validation fails, unless `force` is set.  Each
+    degree's operator rows are assembled once per base point over its whole
+    non-sub-resonance basis, so no image term leaves the solve subspace.
     """
     alpha = Fraction(alpha)
     validation = validate_extension(ext, spec, n_taylor, alpha)
@@ -495,26 +468,24 @@ def plan_taylor(
                 raise BuildError(
                     f"certified exponent {cert} at degree {degree} is not negative"
                 )
-        # Each invariant group is assembled and guarded on its own, then
-        # stacked block-diagonally: the elimination never pivots or updates
-        # across blocks, so one system per cycle solves every group bitwise
-        # as its own system would.
-        stacked: list[list] = [[] for _ in range(p)]
-        groups = _grouped_basis(keys, dims, diagonal)
-        offset = 0
-        for group in groups:
-            index = {k: i for i, k in enumerate(group)}
-            for x in range(p):
-                rows = _operator_rows(
-                    group, index, invs[x], lin_polys[x], degree, spec, _NON_SUB, 0, lin_powers[x]
-                )
-                stacked[x].extend([[(col + offset, w) for col, w in row] for row in rows])
-            offset += len(group)
-        keys = [k for group in groups for k in group]
+        if diagonal:
+            # With block-diagonal linear parts the operator maps each
+            # (target block, block degrees) type into itself.  Keys sorted
+            # stably by type make I - M block-diagonal, so the elimination
+            # never pivots or updates across types, and they fix the order
+            # of the solutions and so of the terms of every solved map.
+            keys.sort(key=lambda k: (dims.block_of[k[0]], dims.block_degrees(k[1])))
+        index = {k: i for i, k in enumerate(keys)}
+        ops = [
+            _operator_rows(
+                keys, index, invs[x], lin_polys[x], degree, spec, _NON_SUB, 0, lin_powers[x]
+            )
+            for x in range(p)
+        ]
         systems[degree] = (
             keys,
-            {k: i for i, k in enumerate(keys)},
-            _cycle_systems(base, stacked, one, True, f"cycle solve at degree {degree}"),
+            index,
+            _cycle_systems(base, ops, one, True, f"cycle solve at degree {degree}"),
         )
 
     return TaylorPlan(
@@ -535,9 +506,7 @@ def plan_taylor(
     )
 
 
-def solve_taylor(
-    plan: TaylorPlan, lift: LiftStrategy | None = None, float_tol: float = 1e-9
-) -> NormalFormResult:
+def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFormResult:
     """Solve the conjugacy degree by degree up to N on a plan, under one
     lift.  All class and vanishing assertions are exact in rational mode."""
     lift = lift or complement_lift()
@@ -581,12 +550,12 @@ def solve_taylor(
             pulled_back = left_linear(mats[x], hn[x])
             if degree > d:
                 # the residue is its own scale, which for tol < 1 is scale 0
-                if not agrees(pushed, pulled_back, float_tol):
+                if not agrees(pushed, pulled_back, FLOAT_TOL):
                     residue = pushed.sub(pulled_back).max_abs()
                     raise BuildError(f"normal form degree-{degree} residue {float(residue):.3e}")
             else:
                 pn = pushed.sub(pulled_back)
-                if not project(pn, spec, _NON_SUB).vanishes(float_tol, pn):
+                if not project(pn, spec, _NON_SUB).vanishes(FLOAT_TOL, pn):
                     raise BuildError(
                         f"non-sub-resonance residue in the normal form at degree {degree}"
                     )
@@ -598,11 +567,10 @@ def solve_taylor(
         fx = base.image(x)
         lhs = fiber_powers[x].compose(h[fx])
         rhs = compose(p_poly[x], h[x], n_taylor)
-        if not agrees(lhs, rhs, float_tol, lhs):
+        if not agrees(lhs, rhs, FLOAT_TOL, lhs):
             raise BuildError(f"jet conjugacy residual {float(lhs.sub(rhs).max_abs()):.3e}")
 
-    tol = 0 if mode == RATIONAL else float_tol
-    p_group = tuple(make_group_element(pm, spec, "sub-resonance", tol=tol) for pm in p_poly)
+    p_group = tuple(make_group_element(pm, spec, "sub-resonance") for pm in p_poly)
     return NormalFormResult(
         ext=ext,
         spec=spec,
@@ -627,7 +595,6 @@ def build_taylor(
     alpha,
     lift: LiftStrategy | None = None,
     force: bool = False,
-    float_tol: float = 1e-9,
 ) -> NormalFormResult:
     """Solve the conjugacy degree by degree up to the Taylor degree N.
 
@@ -637,13 +604,13 @@ def build_taylor(
 
     The build is `plan_taylor` then `solve_taylor`.  Only the sub-resonance
     sections depend on the lift; the validation, the linear data, the
-    fiber power tables, the solve keys, certified exponents and invariant
-    groups of every degree, and the cycle systems (operator rows and the
-    elimination of I - M) do not.  They make up the plan kept on the
-    result, on which `NormalFormResult.rebuild` solves other lifts.
+    fiber power tables, the solve keys and certified exponents of every
+    degree, and the cycle systems (operator rows and the elimination of
+    I - M) do not.  They make up the plan kept on the result, on which
+    `NormalFormResult.rebuild` solves other lifts.
     """
     plan = plan_taylor(ext, spec, n_taylor, alpha, force=force)
-    return solve_taylor(plan, lift, float_tol)
+    return solve_taylor(plan, lift)
 
 
 def perturb_lift(
@@ -687,7 +654,6 @@ def reduce_family(
     spec: SpectrumSpec,
     p_elems: Sequence[GroupElement],
     lift: LiftStrategy | None = None,
-    float_tol: float = 1e-9,
 ) -> ResonanceResult:
     """Conjugate a sub-resonance family to pure resonance form.
 
@@ -724,7 +690,7 @@ def reduce_family(
     def backward_systems(keys, index, degree):
         ops = [
             _operator_rows(
-                keys, index, d_mats[x], a_inv_polys[x], degree, spec, _LEAVES_STRICT, float_tol,
+                keys, index, d_mats[x], a_inv_polys[x], degree, spec, _LEAVES_STRICT, FLOAT_TOL,
                 a_inv_powers[x],
             )
             for x in range(base.p)
@@ -773,7 +739,7 @@ def reduce_family(
             lhs = compose_part(h_prime[fx], p_powers[x], degree)
             rhs = compose_part(p_res[x], Powers(h_prime[x], degree), degree)
             k = lhs.sub(rhs)
-            if not project(k, spec, _NON_SUB).vanishes(float_tol, k):
+            if not project(k, spec, _NON_SUB).vanishes(FLOAT_TOL, k):
                 raise BuildError(f"unexpected non-sub-resonance terms: defect at degree {degree}")
             k_parts.append(k)
             delta = sections.section(x, degree)
@@ -814,7 +780,7 @@ def reduce_family(
             )
             p_n = compose_part(v, g1_inv_powers[x], degree)
             off = project(p_n, spec, {TypeClass.STRICT_SUB, TypeClass.NON_SUB})
-            if not off.vanishes(float_tol, p_n):
+            if not off.vanishes(FLOAT_TOL, p_n):
                 raise BuildError(f"resonance form keeps a strict term at degree {degree}")
             # drops float dust below tolerance; keeps all of p_n in rational mode
             p_res[x] = p_res[x].add(project(p_n, spec, res_only), cap=d)
@@ -823,19 +789,14 @@ def reduce_family(
         fx = base.image(x)
         lhs = p_powers[x].compose(h_prime[fx])
         rhs = compose(p_res[x], h_prime[x], d * d)
-        if not agrees(lhs, rhs, float_tol, lhs):
+        if not agrees(lhs, rhs, FLOAT_TOL, lhs):
             raise BuildError(f"resonance conjugacy residual {float(lhs.sub(rhs).max_abs()):.3e}")
 
-    tol = 0 if mode == RATIONAL else float_tol
     return ResonanceResult(
         spec=spec,
         base=base,
-        h_prime=tuple(
-            make_group_element(pm.jet(d), spec, "sub-resonance", tol=tol) for pm in h_prime
-        ),
-        p_res=tuple(
-            make_group_element(pm.jet(d), spec, "resonance", tol=tol) for pm in p_res
-        ),
+        h_prime=tuple(make_group_element(pm.jet(d), spec, "sub-resonance") for pm in h_prime),
+        p_res=tuple(make_group_element(pm.jet(d), spec, "resonance") for pm in p_res),
         lift_kind=lift.kind,
         lift_seed=lift.seed,
         lift_sections=used_sections,

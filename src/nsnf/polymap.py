@@ -34,6 +34,9 @@ from .spectrum import (
 
 RATIONAL = "rational"
 FLOAT = "float"
+# The one tolerance of every binary64 residue and class check; rational
+# mode checks exactly.
+FLOAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -570,7 +573,7 @@ def left_linear(matrix, pmap: PolyMap, target: GradedDims | None = None) -> Poly
     return PolyMap._trusted(pmap.source, target, pmap.cap, pmap.mode, acc)
 
 
-def invert(pmap: PolyMap, cap: int, float_tol: float = 1e-9) -> PolyMap:
+def invert(pmap: PolyMap, cap: int) -> PolyMap:
     """Formal compositional inverse up to the cap.
 
     Degree-by-degree back substitution; the result is verified against the
@@ -591,14 +594,14 @@ def invert(pmap: PolyMap, cap: int, float_tol: float = 1e-9) -> PolyMap:
             continue
         correction = left_linear(a_inv, defect.scale(-1), target=pmap.source)
         inv = inv.add(correction, cap=cap)
-    _assert_identity(compose(pmap, inv, cap), cap, float_tol, inv, "formal inverse")
+    _assert_identity(compose(pmap, inv, cap), cap, inv, "formal inverse")
     return inv
 
 
-def _assert_identity(composite: PolyMap, cap: int, float_tol: float, scale, what: str) -> None:
+def _assert_identity(composite: PolyMap, cap: int, scale, what: str) -> None:
     """Raise AssertionError unless the composite is the identity to cap."""
     ident = identity_map(composite.source, cap, composite.mode)
-    if not agrees(composite, ident, float_tol, scale):
+    if not agrees(composite, ident, FLOAT_TOL, scale):
         residual = composite.sub(ident).max_abs()
         raise AssertionError(f"{what} residual {float(residual):.3e} beyond tolerance")
 
@@ -663,7 +666,9 @@ class GroupElement:
         return self.poly.source
 
 
-def make_group_element(poly: PolyMap, spec: SpectrumSpec, tag: str, tol=0) -> GroupElement:
+def make_group_element(poly: PolyMap, spec: SpectrumSpec, tag: str) -> GroupElement:
+    """`poly` as a member of the tagged group.  Off-class coefficients must
+    be exactly zero in rational mode and at most FLOAT_TOL in float mode."""
     if tag not in GROUP_TAGS:
         raise ValueError(f"unknown group tag {tag!r}")
     if poly.source.dims != poly.target.dims:
@@ -672,7 +677,7 @@ def make_group_element(poly: PolyMap, spec: SpectrumSpec, tag: str, tol=0) -> Gr
     if poly.degree() > d:
         raise ValueError(f"degree {poly.degree()} exceeds the bound {d}")
     off = max_off_class(poly, spec, GROUP_TAGS[tag])
-    if off > tol:
+    if off > (0 if poly.mode == RATIONAL else FLOAT_TOL):
         raise ValueError(f"off-class coefficient of size {off} under tag {tag!r}")
     try:
         linsolve.Elimination(poly.linear_matrix())
@@ -681,7 +686,7 @@ def make_group_element(poly: PolyMap, spec: SpectrumSpec, tag: str, tol=0) -> Gr
     return GroupElement(poly=poly, tag=tag)
 
 
-def group_inverse(g: GroupElement, spec: SpectrumSpec, tol=0, float_tol: float = 1e-9) -> GroupElement:
+def group_inverse(g: GroupElement, spec: SpectrumSpec) -> GroupElement:
     """Exact group inverse: degree stays <= d and the class is preserved.
 
     The closure g o g^{-1} = Id is asserted on the untruncated composition
@@ -689,8 +694,8 @@ def group_inverse(g: GroupElement, spec: SpectrumSpec, tol=0, float_tol: float =
     """
     d = degree_bound(spec)
     inv = invert(g.poly, d).jet(d)
-    _assert_identity(compose(g.poly, inv, d * d), d * d, float_tol, inv, "group inverse")
-    return make_group_element(inv, spec, g.tag, tol=tol)
+    _assert_identity(compose(g.poly, inv, d * d), d * d, inv, "group inverse")
+    return make_group_element(inv, spec, g.tag)
 
 
 # -- serialization ------------------------------------------------------

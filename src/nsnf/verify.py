@@ -13,7 +13,7 @@ import numpy as np
 from .base import Extension
 from .evaluator import EvalConfig, Evaluator, evaluate_at, interleave
 from .normal_form import NormalFormResult, ResonanceResult, pinned_lift
-from .polymap import GROUP_TAGS, PolyMap, agrees, compose, invert, project, vanishing
+from .polymap import FLOAT_TOL, GROUP_TAGS, PolyMap, agrees, compose, invert, project, vanishing
 from .spectrum import TypeClass, criticality, degree_bound
 
 
@@ -46,13 +46,13 @@ def _same_instance(a: Extension, b: Extension) -> bool:
     )
 
 
-def _witness(maps, spec, tag, float_tol) -> TransitionWitness:
+def _witness(maps, spec, tag) -> TransitionWitness:
     off_classes = frozenset(TypeClass) - GROUP_TAGS[tag]
     offs, oks = [], []
     for g in maps:
         off = project(g, spec, off_classes)
         offs.append(float(off.max_abs()))
-        oks.append(off.vanishes(float_tol, g))
+        oks.append(off.vanishes(FLOAT_TOL, g))
     return TransitionWitness(
         tag=tag,
         maps=tuple(maps),
@@ -70,13 +70,11 @@ def transition_jets(nf_a: NormalFormResult, nf_b: NormalFormResult) -> tuple[Pol
     return tuple(out)
 
 
-def check_uniqueness(
-    nf_a: NormalFormResult, nf_b: NormalFormResult, float_tol: float = 1e-9
-) -> TransitionWitness:
+def check_uniqueness(nf_a: NormalFormResult, nf_b: NormalFormResult) -> TransitionWitness:
     """Two builds of one instance differ by a sub-resonance transition family."""
     if not _same_instance(nf_a.ext, nf_b.ext) or nf_a.spec != nf_b.spec:
         raise VerifyError("inputs", "builds come from different instances")
-    return _witness(transition_jets(nf_a, nf_b), nf_a.spec, "sub-resonance", float_tol)
+    return _witness(transition_jets(nf_a, nf_b), nf_a.spec, "sub-resonance")
 
 
 def full_changes(nf: NormalFormResult, red: ResonanceResult) -> tuple[PolyMap, ...]:
@@ -92,7 +90,6 @@ def check_uniqueness_resonance(
     red_a: ResonanceResult,
     nf_b: NormalFormResult,
     red_b: ResonanceResult,
-    float_tol: float = 1e-9,
 ) -> TransitionWitness:
     """Transitions between reduced coordinate changes stay resonance."""
     if not _same_instance(nf_a.ext, nf_b.ext) or nf_a.spec != nf_b.spec:
@@ -101,7 +98,7 @@ def check_uniqueness_resonance(
     maps = []
     for h_a, h_b in zip(full_changes(nf_a, red_a), full_changes(nf_b, red_b)):
         maps.append(compose(h_a, invert(h_b, d), d))
-    return _witness(maps, nf_a.spec, "resonance", float_tol)
+    return _witness(maps, nf_a.spec, "resonance")
 
 
 def pinned_rebuild_matches(nf: NormalFormResult) -> bool:
@@ -122,7 +119,7 @@ def check_flag_preservation(p: PolyMap, spec) -> bool:
     return True
 
 
-def check_linearization(nf: NormalFormResult, float_tol: float = 1e-9) -> bool:
+def check_linearization(nf: NormalFormResult) -> bool:
     """Single-block spectra admit no nonlinear sub-resonance terms, so the
     normal form must be exactly the linear part of the fibers."""
     if nf.spec.ell != 1:
@@ -132,9 +129,9 @@ def check_linearization(nf: NormalFormResult, float_tol: float = 1e-9) -> bool:
     for x in range(nf.ext.base.p):
         p = nf.p_poly(x)
         lin = p.jet(1)
-        if not agrees(p, lin, float_tol, p):
+        if not agrees(p, lin, FLOAT_TOL, p):
             return False
-        if not agrees(lin, nf.ext.fiber(x).jet(1), float_tol):
+        if not agrees(lin, nf.ext.fiber(x).jet(1), FLOAT_TOL):
             return False
     return True
 
@@ -145,7 +142,6 @@ def check_centralizer(
     n_prime: int,
     alpha_prime,
     reduced: ResonanceResult | None = None,
-    float_tol: float = 1e-9,
     samples: int = 0,
     seed: int = 0,
     cfg: EvalConfig | None = None,
@@ -183,7 +179,7 @@ def check_centralizer(
     for x in range(f.p):
         lhs = compose(ext_g.fiber(f.image(x)), ext_f.fiber(x), cap)
         rhs = compose(ext_f.fiber(g.image(x)), ext_g.fiber(x), cap)
-        if not agrees(lhs, rhs, float_tol, lhs):
+        if not agrees(lhs, rhs, FLOAT_TOL, lhs):
             raise VerifyError(
                 "commutation", f"extensions do not commute over point {x}"
             )
@@ -191,7 +187,7 @@ def check_centralizer(
     dims = ext_f.dims
     for x in range(f.p):
         mixing = [entry for _, _, entry in dims.off_block(ext_g.fiber(x).linear_matrix())]
-        if not vanishing(mixing, ext_f.mode, float_tol):
+        if not vanishing(mixing, ext_f.mode, FLOAT_TOL):
             raise VerifyError(
                 "derivative", f"derivative at the zero section mixes blocks at point {x}"
             )
@@ -207,7 +203,7 @@ def check_centralizer(
     for x in range(f.p):
         inner = compose(ext_g.fiber(x), invert(changes[x], d), d)
         q_maps.append(compose(changes[g.image(x)], inner, d))
-    witness = _witness(q_maps, spec, tag, float_tol)
+    witness = _witness(q_maps, spec, tag)
 
     if samples:
         ev = Evaluator(nf, cfg)

@@ -467,7 +467,11 @@ def per_group_cycle_solutions(plan, degree, rhs):
     diagonal = nfm._all_block_diagonal(plan.mats, dims)
     lin_powers = [Powers(plan.lin_polys[x], degree) for x in range(p)]
     out = [{} for _ in range(p)]
-    for group in nfm._grouped_basis(keys, dims, diagonal):
+    groups: dict[tuple, list] = {}
+    for c, exps in keys:
+        label = (dims.block_of[c], dims.block_degrees(exps)) if diagonal else ()
+        groups.setdefault(label, []).append((c, exps))
+    for group in (groups[label] for label in sorted(groups)):
         index = {k: i for i, k in enumerate(group)}
         ops = [
             nfm._operator_rows(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from nsnf import cli
+from nsnf.instance import load_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -138,6 +139,67 @@ def test_semantic_parse_error_names_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 5
     assert "spectrum" in err
+
+
+def _edited_instance(tmp_path, name, edit):
+    """A copy of a shipped instance with `edit` applied to its JSON."""
+    raw = json.loads(Path(path(name)).read_text())
+    edit(raw)
+    out = tmp_path / name
+    out.write_text(json.dumps(raw))
+    return str(out)
+
+
+def _set(*keys, value):
+    def edit(raw):
+        for key in keys[:-1]:
+            raw = raw.setdefault(key, {})
+        raw[keys[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, flags, field",
+    [
+        pytest.param(None, ["--tol", "0"], "tol", id="flag-tol"),
+        pytest.param(None, ["--kmax", "0"], "k_max", id="flag-kmax"),
+        pytest.param(None, ["--samples", "-5"], "options.samples", id="flag-samples"),
+        pytest.param(None, ["--radius", "0"], "radius", id="flag-radius"),
+        pytest.param(_set("options", "tol", value="x"), [], "options.tol", id="tol"),
+        pytest.param(_set("options", "samples", value="many"), [], "options.samples", id="samples"),
+        pytest.param(_set("options", "seed", value="a"), [], "options.seed", id="seed"),
+        pytest.param(_set("options", "force", value="no"), [], "options.force", id="force"),
+        pytest.param(_set("sigma", value="x"), [], "sigma", id="sigma"),
+        pytest.param(_set("xi", value="x"), [], "xi", id="xi"),
+        pytest.param(
+            _set("commuting", "regularity", value=5), [], "commuting.regularity", id="regularity"
+        ),
+    ],
+)
+def test_invalid_inputs_exit_5_naming_the_field(tmp_path, capsys, edit, flags, field):
+    name = "three_cycle.json"
+    target = _edited_instance(tmp_path, name, edit) if edit else path(name)
+    code = cli.main(["all", target, *flags])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+
+
+@pytest.mark.parametrize("regularity", [{"n_taylor": 3}, None])
+def test_commuting_regularity_defaults_to_the_instance(tmp_path, capsys, regularity):
+    def edit(raw):
+        if regularity is None:
+            del raw["commuting"]["regularity"]
+        else:
+            raw["commuting"]["regularity"] = regularity
+
+    target = _edited_instance(tmp_path, "three_cycle.json", edit)
+    inst = load_instance(target)
+    assert (inst.commuting_n, inst.commuting_alpha) == (inst.n_taylor, inst.alpha)
+    code, rep, _ = run_cli(capsys, "verify", target)
+    assert code == 0 and rep["verification"]["centralizer"]["ok"]
 
 
 def test_mode_overrides(capsys):

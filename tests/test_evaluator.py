@@ -212,7 +212,7 @@ def test_kmax_exhaustion_names_first_failing_sample():
     assert failing and failing[0][0] != xs[0]  # not simply the first sample's point
     x, last = failing[0]
     with pytest.raises(EvalError) as err:
-        ev.residual_stats(seed=15, samples=40, cfg=cfg)
+        Evaluator(ev.nf, cfg).residual_stats(seed=15, samples=40)
     assert str(err.value).startswith(
         f"no convergence within 9 iterations at point {x}; last increment {last:.3e}"
     )

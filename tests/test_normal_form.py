@@ -146,14 +146,14 @@ def test_dense_solve_matches_grouped(monkeypatch):
 def _t2_squared_operator(mode, mixing, tol):
     """Operator on the single key t2^2 -> coordinate 1, conjugated by a post
     map that mixes t1 into t2; the image leaks into other NON_SUB groups."""
-    keys = class_basis(SPEC21, D11, 2, {TypeClass.NON_SUB})
-    group = next(g for g in nfm._grouped_basis(keys, D11, True) if g == [(1, (0, 2))])
+    group = [(1, (0, 2))]
     one = F(1) if mode == RATIONAL else 1.0
     post = from_linear([[one, one * 0], [mixing, one]], D11, D11, 1, mode)
     pre = [[one, one * 0], [one * 0, one]]
     index = {k: i for i, k in enumerate(group)}
     guard = {TypeClass.NON_SUB}
-    return nfm._operator(group, index, pre, post, 2, SPEC21, guard, tol)
+    rows = nfm._operator_rows(group, index, pre, post, 2, SPEC21, guard, tol)
+    return [[w for _, w in row] for row in rows]
 
 
 def test_operator_guard_rejects_leaving_the_group():
@@ -320,6 +320,27 @@ def _ordered(poly):
 def _case_in(case, mode):
     ext, spec, n, alpha = _plan_cases()[case]
     return (ext.to_float() if mode == FLOAT else ext), spec, n, alpha
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("case", ["three_cycle", "random_15", "random_26"])
+def test_diagonal_plan_keeps_each_type_in_its_own_block(case, mode):
+    """With block-diagonal linear parts the solve keys of each homogeneous
+    type (target block, block degrees) are contiguous, and every operator
+    row reaches only columns of its own type."""
+    ext, spec, n, alpha = _case_in(case, mode)
+    plan = nfm.plan_taylor(ext, spec, n, alpha)
+    dims = ext.dims
+    assert nfm._all_block_diagonal(plan.mats, dims)
+    for degree in range(2, n + 1):
+        keys, _, systems = plan.systems[degree]
+        labels = [(dims.block_of[c], dims.block_degrees(exps)) for c, exps in keys]
+        runs = [label for j, label in enumerate(labels) if j == 0 or label != labels[j - 1]]
+        assert len(runs) == len(set(runs)), f"degree {degree}: a type's keys are split"
+        for _, system in systems:
+            for rows in system.rows:
+                for i, row in enumerate(rows):
+                    assert all(labels[col] == labels[i] for col, _ in row)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
