@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .base import Extension, FiniteBase
@@ -64,10 +64,10 @@ def fraction_json(value: Fraction) -> dict:
 class RunOptions:
     lift: str = "complement"
     seed: int = 0
-    tol: float = 1e-12
-    k_max: int = 200
+    tol: float = EvalConfig.tol
+    k_max: int = EvalConfig.k_max
     samples: int = 1000
-    radius: float = 0.05
+    radius: float = EvalConfig.radius
     force: bool = False
 
     def __post_init__(self):
@@ -301,20 +301,11 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
     opts = raw.get("options", {})
     if not isinstance(opts, dict):
         _fail("options", "expected an object")
-    known = {"lift", "seed", "tol", "k_max", "samples", "radius", "force"}
-    extra = set(opts) - known
+    extra = set(opts) - {f.name for f in fields(RunOptions)}
     if extra:
         _fail("options", f"unknown option keys {sorted(extra)}")
     sigma = float(raw["sigma"])
-    options = RunOptions(
-        lift=opts.get("lift", "complement"),
-        seed=opts.get("seed", 0),
-        tol=opts.get("tol", 1e-12),
-        k_max=opts.get("k_max", 200),
-        samples=opts.get("samples", 1000),
-        radius=opts.get("radius", min(0.05, sigma / 5.0)),
-        force=opts.get("force", False),
-    )
+    options = RunOptions(**{"radius": min(RunOptions.radius, sigma / 5.0), **opts})
     if options.radius > sigma:
         _fail("options.radius", "exceeds the certified ball radius sigma")
 

@@ -98,60 +98,48 @@ def seeded_lift(
     )
 
 
-class _SectionSource:
-    """Resolves the lift section for each (point, degree) deterministically.
+def _lift_table(strategy: LiftStrategy, spec, dims, mode, p, d, classes):
+    """Every nonzero lift section, keyed (point, degree) over degrees 2..d,
+    in the order the solves reach them.
 
-    Seeded draws consume the generator in a fixed order over degrees,
-    points and basis monomials, so one seed always yields one build.
+    Each pinned section is checked once, whatever its degree: above d every
+    type is non-sub-resonance, so a nonzero section there leaves its class.
+    Seeded offsets are drawn in a fixed order over degrees, points and
+    basis monomials, so one seed always yields one build, and are added to
+    the pinned section.
     """
-
-    def __init__(self, strategy, spec, dims, mode, p, d, classes=SUB_RESONANCE):
-        self.strategy = strategy
-        self.spec = spec
-        self.dims = dims
-        self.mode = mode
-        self.classes = classes
-        self.offsets: dict[tuple[int, int], PolyMap] = {}
-        if strategy.kind == "seeded":
-            if strategy.seed is None:
-                raise ValueError("seeded lift needs a seed")
-            rng = random.Random(strategy.seed)
-            for degree in range(2, d + 1):
-                basis = class_basis(spec, dims, degree, classes)
-                for x in range(p):
-                    coeffs = {}
-                    for key in basis:
-                        num = rng.randint(-8, 8)
-                        value = Fraction(num, 8) * strategy.amplitude
-                        if value:
-                            coeffs[key] = value if mode == RATIONAL else float(value)
-                    if coeffs:
-                        self.offsets[(x, degree)] = PolyMap(dims, dims, degree, mode, coeffs)
-        elif strategy.kind not in ("complement", "pinned"):
-            raise ValueError(f"unknown lift kind {strategy.kind!r}")
-
-    def section(self, x: int, degree: int) -> PolyMap:
-        out = zero_map(self.dims, self.dims, degree, self.mode)
-        pinned = self.strategy.sections.get((x, degree))
-        if pinned is not None:
-            self._check(pinned, degree)
-            out = out.add(pinned)
-        offset = self.offsets.get((x, degree))
-        if offset is not None:
-            out = out.add(offset)
-        return out
-
-    def _check(self, section: PolyMap, degree: int) -> None:
-        if section.mode != self.mode:
+    if strategy.kind == "seeded" and strategy.seed is None:
+        raise ValueError("seeded lift needs a seed")
+    if strategy.kind not in ("complement", "pinned", "seeded"):
+        raise ValueError(f"unknown lift kind {strategy.kind!r}")
+    for (_, degree), section in strategy.sections.items():
+        if section.mode != mode:
             raise ValueError("lift section scalar mode mismatch")
-        if section.source.dims != self.dims.dims:
+        if section.source.dims != dims.dims or section.target.dims != dims.dims:
             raise ValueError("lift section grading mismatch")
-        for (c, exps) in section.coeffs:
+        for c, exps in section.coeffs:
             if sum(exps) != degree:
                 raise ValueError(f"lift section for degree {degree} is not homogeneous")
-            block, s = self.dims.block_of[c], self.dims.block_degrees(exps)
-            if self.spec.type_class(block, s) not in self.classes:
+            if spec.type_class(dims.block_of[c], dims.block_degrees(exps)) not in classes:
                 raise ValueError("lift section leaves its resonance class")
+
+    rng = random.Random(strategy.seed) if strategy.kind == "seeded" else None
+    table: dict[tuple[int, int], PolyMap] = {}
+    for degree in range(2, d + 1):
+        basis = class_basis(spec, dims, degree, classes) if rng else ()
+        for x in range(p):
+            section = strategy.sections.get((x, degree))
+            coeffs = {}
+            for key in basis:
+                value = Fraction(rng.randint(-8, 8), 8) * strategy.amplitude
+                if value:
+                    coeffs[key] = value if mode == RATIONAL else float(value)
+            if coeffs:
+                offset = PolyMap(dims, dims, degree, mode, coeffs)
+                section = offset if section is None else section.add(offset)
+            if section is not None and not section.is_zero():
+                table[(x, degree)] = section
+    return table
 
 
 # -- the conjugation operator and its cycle solves ----------------------
@@ -260,17 +248,16 @@ def _solve_cycles(systems, rhs):
     return out
 
 
-def _operator_rows(keys, index, pre, post: PolyMap, degree, spec, guard, tol, powers=None):
+def _operator_rows(keys, index, pre, powers: Powers, spec, guard, tol):
     """Sparse rows of the matrix of R -> pre . R o post on span(keys), one
     column per key: row i lists its nonzero (column, entry) pairs by column.
 
-    `pre` is a matrix, `post` a linear map and `powers` its power table
-    (built here when not given).  Image terms outside `keys` whose class
-    lies in `guard` must vanish (to tol, relative to the size of the image):
-    the operator has to preserve the solve subspace.
+    `pre` is a matrix and `powers` the power table of the linear map post.
+    Image terms outside `keys` whose class lies in `guard` must vanish (to
+    tol, relative to the size of the image): the operator has to preserve
+    the solve subspace.
     """
-    dims, mode = post.source, post.mode
-    powers = powers or Powers(post, degree)
+    dims, mode = powers.inner.source, powers.inner.mode
     # the nonzero (row, entry) pairs of each column of pre
     pre_cols = [[(r, m) for r, m in enumerate(column) if m] for column in zip(*pre)]
     rows: list[list] = [[] for _ in keys]
@@ -294,19 +281,45 @@ def _operator_rows(keys, index, pre, post: PolyMap, degree, spec, guard, tol, po
     return rows
 
 
-def _coords(poly: PolyMap, keys, index):
-    zero = Fraction(0) if poly.mode == RATIONAL else 0.0
-    vec = [zero] * len(keys)
-    for key, value in poly.coeffs.items():
-        pos = index.get(key)
-        if pos is not None:
-            vec[pos] = value
-    return vec
+def _solve_on(systems, keys, index, polys: Sequence[PolyMap], degree) -> list[PolyMap]:
+    """Solve every cycle system with the right-hand side at base point x
+    read off `polys[x]` on span(keys); the solutions as degree-n maps."""
+    dims, mode = polys[0].source, polys[0].mode
+    zero = Fraction(0) if mode == RATIONAL else 0.0
+    rhs = []
+    for poly in polys:
+        vec = [zero] * len(keys)
+        for key, value in poly.coeffs.items():
+            pos = index.get(key)
+            if pos is not None:
+                vec[pos] = value
+        rhs.append(vec)
+    return [
+        PolyMap._trusted(dims, dims, degree, mode, dict(zip(keys, sol)))
+        for sol in _solve_cycles(systems, rhs)
+    ]
 
 
-def _poly_from_coords(dims, degree, keys, vec, mode) -> PolyMap:
-    coeffs = {k: v for k, v in zip(keys, vec) if v}
-    return PolyMap(dims, dims, degree, mode, coeffs)
+def _defects(h, fixed_powers, normal, base: FiniteBase, degree) -> list[PolyMap]:
+    """Degree-n part of H_{f(x)} o F_x - P_x o H_x at every base point x,
+    with F_x the inner map of `fixed_powers[x]` and P_x = `normal[x]`.  H
+    grows every degree, so P o H is composed on a fresh table."""
+    return [
+        compose_part(h[base.image(x)], fixed_powers[x], degree).sub(
+            compose_part(normal[x], Powers(h[x], degree), degree)
+        )
+        for x in range(base.p)
+    ]
+
+
+def _check_conjugacy(h, fixed_powers, normal, base: FiniteBase, cap, what) -> None:
+    """H_{f(x)} o F_x = P_x o H_x at every base point, as jets: the left
+    side truncated at the cap of `fixed_powers`, the right at `cap`."""
+    for x in range(base.p):
+        lhs = fixed_powers[x].compose(h[base.image(x)])
+        rhs = compose(normal[x], h[x], cap)
+        if not agrees(lhs, rhs, FLOAT_TOL, lhs):
+            raise BuildError(f"{what} residual {float(lhs.sub(rhs).max_abs()):.3e}")
 
 
 # -- the Taylor build ---------------------------------------------------
@@ -477,9 +490,7 @@ def plan_taylor(
             keys.sort(key=lambda k: (dims.block_of[k[0]], dims.block_degrees(k[1])))
         index = {k: i for i, k in enumerate(keys)}
         ops = [
-            _operator_rows(
-                keys, index, invs[x], lin_polys[x], degree, spec, _NON_SUB, 0, lin_powers[x]
-            )
+            _operator_rows(keys, index, invs[x], lin_powers[x], spec, _NON_SUB, 0)
             for x in range(p)
         ]
         systems[degree] = (
@@ -517,32 +528,16 @@ def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFo
 
     h = [identity_map(dims, n_taylor, mode) for _ in range(p)]
     p_poly = [lin_polys[x].jet(d) for x in range(p)]
-    sections = _SectionSource(lift, spec, dims, mode, p, d)
-    used_sections: dict[tuple[int, int], PolyMap] = {}
+    sections = _lift_table(lift, spec, dims, mode, p, d, SUB_RESONANCE)
 
-    # P o H needs a fresh table each degree, as H grows.
     fiber_powers, lin_powers = plan.fiber_powers, plan.lin_powers
     for degree in range(2, n_taylor + 1):
-        rn = []
-        for x in range(p):
-            fx = base.image(x)
-            lhs = compose_part(h[fx], fiber_powers[x], degree)
-            rhs = compose_part(p_poly[x], Powers(h[x], degree), degree)
-            rn.append(lhs.sub(rhs))
-        pulled = [left_linear(invs[x], rn[x]) for x in range(p)]
-
+        rn = _defects(h, fiber_powers, p_poly, base, degree)
         keys, index, systems = plan.systems[degree]
-        sols = _solve_cycles(systems, [_coords(pulled[x], keys, index) for x in range(p)])
-        hbar = [PolyMap._trusted(dims, dims, degree, mode, dict(zip(keys, sol))) for sol in sols]
-
-        hn = []
-        for x in range(p):
-            section = sections.section(x, degree)
-            if degree > d and not section.is_zero():
-                raise BuildError(f"lift section offered above the degree bound at {degree}")
-            if not section.is_zero():
-                used_sections[(x, degree)] = section
-            hn.append(hbar[x].add(section))
+        pulled = [left_linear(invs[x], rn[x]) for x in range(p)]
+        hbar = _solve_on(systems, keys, index, pulled, degree)
+        zero = zero_map(dims, dims, degree, mode)
+        hn = [hbar[x].add(sections.get((x, degree), zero)) for x in range(p)]
 
         for x in range(p):
             fx = base.image(x)
@@ -563,12 +558,7 @@ def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFo
                 p_poly[x] = p_poly[x].add(project(pn, spec, SUB_RESONANCE))
             h[x] = h[x].add(hn[x], cap=n_taylor)
 
-    for x in range(p):
-        fx = base.image(x)
-        lhs = fiber_powers[x].compose(h[fx])
-        rhs = compose(p_poly[x], h[x], n_taylor)
-        if not agrees(lhs, rhs, FLOAT_TOL, lhs):
-            raise BuildError(f"jet conjugacy residual {float(lhs.sub(rhs).max_abs()):.3e}")
+    _check_conjugacy(h, fiber_powers, p_poly, base, n_taylor, "jet conjugacy")
 
     p_group = tuple(make_group_element(pm, spec, "sub-resonance") for pm in p_poly)
     return NormalFormResult(
@@ -580,7 +570,7 @@ def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFo
         p_normal=p_group,
         lift_kind=lift.kind,
         lift_seed=lift.seed,
-        lift_sections=used_sections,
+        lift_sections=sections,
         certified_exponents=dict(plan.certified_exponents),
         certified=plan.validation.passed,
         validation=plan.validation,
@@ -683,15 +673,13 @@ def reduce_family(
     a_powers = [Powers(a, d) for a in a_polys]
     a_inv_powers = [Powers(a_inv, d) for a_inv in a_inv_polys]
 
-    sections = _SectionSource(lift, spec, dims, mode, base.p, d, classes=res_only)
-    used_sections: dict[tuple[int, int], PolyMap] = {}
+    sections = _lift_table(lift, spec, dims, mode, base.p, d, res_only)
     certified_exponents: dict[int, Fraction] = {}
 
     def backward_systems(keys, index, degree):
         ops = [
             _operator_rows(
-                keys, index, d_mats[x], a_inv_polys[x], degree, spec, _LEAVES_STRICT, FLOAT_TOL,
-                a_inv_powers[x],
+                keys, index, d_mats[x], a_inv_powers[x], spec, _LEAVES_STRICT, FLOAT_TOL
             )
             for x in range(base.p)
         ]
@@ -703,22 +691,12 @@ def reduce_family(
     if ss1 and not _all_block_diagonal(a_mats, dims):
         certified_exponents[1] = _certified_exponent(spec, dims, ss1, "backward")
         index = {k: i for i, k in enumerate(ss1)}
-        systems = backward_systems(ss1, index, 1)
         rhs = []
         for x in range(base.p):
-            u_poly = from_linear(
-                [
-                    [a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(a_mats[x], d_mats[x])
-                ],
-                dims,
-                dims,
-                1,
-                mode,
-            )
-            rhs.append(_coords(compose_part(u_poly.scale(-1), a_inv_powers[x], 1), ss1, index))
-        sols = _solve_cycles(systems, rhs)
-        h1 = [_poly_from_coords(dims, 1, ss1, vec, mode) for vec in sols]
+            u = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(a_mats[x], d_mats[x])]
+            u_poly = from_linear(u, dims, dims, 1, mode)
+            rhs.append(compose_part(u_poly.scale(-1), a_inv_powers[x], 1))
+        h1 = _solve_on(backward_systems(ss1, index, 1), ss1, index, rhs, 1)
 
     h_prime = [identity_map(dims, d, mode).add(h1[x]) for x in range(base.p)]
     p_res = [from_linear(d_mats[x], dims, dims, 1, mode).jet(1) for x in range(base.p)]
@@ -733,24 +711,16 @@ def reduce_family(
         if cert is not None:
             certified_exponents[degree] = cert
 
-        k_parts, deltas = [], []
-        for x in range(base.p):
-            fx = base.image(x)
-            lhs = compose_part(h_prime[fx], p_powers[x], degree)
-            rhs = compose_part(p_res[x], Powers(h_prime[x], degree), degree)
-            k = lhs.sub(rhs)
+        k_parts = _defects(h_prime, p_powers, p_res, base, degree)
+        for k in k_parts:
             if not project(k, spec, _NON_SUB).vanishes(FLOAT_TOL, k):
                 raise BuildError(f"unexpected non-sub-resonance terms: defect at degree {degree}")
-            k_parts.append(k)
-            delta = sections.section(x, degree)
-            if not delta.is_zero():
-                used_sections[(x, degree)] = delta
-            deltas.append(delta)
+        zero = zero_map(dims, dims, degree, mode)
+        deltas = [sections.get((x, degree), zero) for x in range(base.p)]
 
-        h_n = [zero_map(dims, dims, degree, mode) for _ in range(base.p)]
+        h_n = [zero] * base.p
         if ss:
             index = {k: i for i, k in enumerate(ss)}
-            systems = backward_systems(ss, index, degree)
             rhs = []
             for x in range(base.p):
                 fx = base.image(x)
@@ -763,12 +733,9 @@ def reduce_family(
                 )
                 rho = project(w_known, spec, res_only)
                 correction = compose_part(rho, g1_powers[x], degree).sub(rho)
-                c_poly = (
-                    correction.sub(project(w_known, spec, {TypeClass.STRICT_SUB}))
-                )
-                rhs.append(_coords(compose_part(c_poly, a_inv_powers[x], degree), ss, index))
-            sols = _solve_cycles(systems, rhs)
-            h_n = [_poly_from_coords(dims, degree, ss, vec, mode) for vec in sols]
+                c_poly = correction.sub(project(w_known, spec, {TypeClass.STRICT_SUB}))
+                rhs.append(compose_part(c_poly, a_inv_powers[x], degree))
+            h_n = _solve_on(backward_systems(ss, index, degree), ss, index, rhs, degree)
 
         for x in range(base.p):
             h_prime[x] = h_prime[x].add(deltas[x]).add(h_n[x])
@@ -785,12 +752,7 @@ def reduce_family(
             # drops float dust below tolerance; keeps all of p_n in rational mode
             p_res[x] = p_res[x].add(project(p_n, spec, res_only), cap=d)
 
-    for x in range(base.p):
-        fx = base.image(x)
-        lhs = p_powers[x].compose(h_prime[fx])
-        rhs = compose(p_res[x], h_prime[x], d * d)
-        if not agrees(lhs, rhs, FLOAT_TOL, lhs):
-            raise BuildError(f"resonance conjugacy residual {float(lhs.sub(rhs).max_abs()):.3e}")
+    _check_conjugacy(h_prime, p_powers, p_res, base, d * d, "resonance conjugacy")
 
     return ResonanceResult(
         spec=spec,
@@ -799,7 +761,7 @@ def reduce_family(
         p_res=tuple(make_group_element(pm.jet(d), spec, "resonance") for pm in p_res),
         lift_kind=lift.kind,
         lift_seed=lift.seed,
-        lift_sections=used_sections,
+        lift_sections=sections,
         certified_exponents=certified_exponents,
     )
 

@@ -208,12 +208,18 @@ def check_centralizer(
     if samples:
         ev = Evaluator(nf, cfg)
         xs, points = ev.sample_points(seed, samples, ev.cfg.radius / 2.0)
-        # the limit at (g(x), G_x(t)) against Q_x of the limit at (x, t), pairs in draw order
+        # the limit at (g(x), G_x(t)) against Q_x of the limit at (x, t), pairs in draw
+        # order; the limits are in H coordinates and Q in those of `changes`, so
+        # with a reduction both limits go through H' first
         g_points = evaluate_at(ext_g.to_float().fibers, xs, points)
         gx = np.array(g.perm, dtype=np.intp)[xs]
         lim = ev.limits(interleave(gx, xs), interleave(g_points, points)).values
-        right = evaluate_at([q.to_float() for q in q_maps], xs, lim[1::2])
-        worst = float(np.abs(lim[0::2] - right).max())
+        left, right = lim[0::2], lim[1::2]
+        if reduced is not None:
+            h_prime = [hp.poly.to_float() for hp in reduced.h_prime]
+            left, right = evaluate_at(h_prime, gx, left), evaluate_at(h_prime, xs, right)
+        right = evaluate_at([q.to_float() for q in q_maps], xs, right)
+        worst = float(np.abs(left - right).max())
         if worst > 10 * ev.cfg.tol:
             return TransitionWitness(
                 tag=witness.tag,

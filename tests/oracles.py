@@ -351,6 +351,62 @@ def invert_reference(pmap, cap):
     return inv
 
 
+class SectionSourceReference:
+    """The lift sections as `normal_form._SectionSource` resolved them, one
+    (point, degree) at a time: the zero map plus the pinned section plus
+    the seeded offset, every offset drawn up front over degrees, then
+    points, then basis monomials.  The bitwise reference of
+    `normal_form._lift_table`."""
+
+    def __init__(self, strategy, spec, dims, mode, p, d, classes):
+        from nsnf.polymap import PolyMap, class_basis
+
+        self.strategy, self.spec, self.dims, self.mode = strategy, spec, dims, mode
+        self.classes = classes
+        self.offsets = {}
+        if strategy.kind == "seeded":
+            rng = random.Random(strategy.seed)
+            for degree in range(2, d + 1):
+                basis = class_basis(spec, dims, degree, classes)
+                for x in range(p):
+                    coeffs = {}
+                    for key in basis:
+                        value = Fraction(rng.randint(-8, 8), 8) * strategy.amplitude
+                        if value:
+                            coeffs[key] = value if mode == "rational" else float(value)
+                    if coeffs:
+                        self.offsets[(x, degree)] = PolyMap(dims, dims, degree, mode, coeffs)
+
+    def section(self, x, degree):
+        from nsnf.polymap import zero_map
+
+        out = zero_map(self.dims, self.dims, degree, self.mode)
+        pinned = self.strategy.sections.get((x, degree))
+        if pinned is not None:
+            for c, exps in pinned.coeffs:
+                block, s = self.dims.block_of[c], self.dims.block_degrees(exps)
+                if self.spec.type_class(block, s) not in self.classes:
+                    raise ValueError("lift section leaves its resonance class")
+            out = out.add(pinned)
+        offset = self.offsets.get((x, degree))
+        if offset is not None:
+            out = out.add(offset)
+        return out
+
+
+def lift_table_reference(strategy, spec, dims, mode, p, d, classes):
+    """{(x, degree): section} of the nonzero sections of degrees 2..d, in
+    the order a build asks `SectionSourceReference` for them."""
+    source = SectionSourceReference(strategy, spec, dims, mode, p, d, classes)
+    table = {}
+    for degree in range(2, d + 1):
+        for x in range(p):
+            section = source.section(x, degree)
+            if not section.is_zero():
+                table[(x, degree)] = section
+    return table
+
+
 def reduce_family_reference(base, spec, p_elems, lift=None, float_tol=1e-9):
     """The resonance reduction of `normal_form.reduce_family` as written
     when every degree composed whole maps, each on a fresh table, and kept
@@ -359,6 +415,7 @@ def reduce_family_reference(base, spec, p_elems, lift=None, float_tol=1e-9):
     form per base point; the consistency checks are left out."""
     from nsnf import normal_form as nfm
     from nsnf.polymap import (
+        Powers,
         class_basis,
         compose,
         from_linear,
@@ -380,11 +437,11 @@ def reduce_family_reference(base, spec, p_elems, lift=None, float_tol=1e-9):
 
     a_mats, _, a_polys, a_inv_polys = nfm._linear_data([g.poly for g in p_elems], "P")
     d_mats = [nfm._block_diag_part(m, dims) for m in a_mats]
-    sections = nfm._SectionSource(lift, spec, dims, mode, base.p, d, classes=res_only)
+    sections = SectionSourceReference(lift, spec, dims, mode, base.p, d, classes=res_only)
 
     def backward_systems(keys, index, degree):
         ops = [
-            nfm._operator_rows(keys, index, dm, a_inv, degree, spec, leaves, float_tol)
+            nfm._operator_rows(keys, index, dm, Powers(a_inv, degree), spec, leaves, float_tol)
             for dm, a_inv in zip(d_mats, a_inv_polys)
         ]
         return nfm._cycle_systems(base, ops, one, False, "reduction")
@@ -398,9 +455,8 @@ def reduce_family_reference(base, spec, p_elems, lift=None, float_tol=1e-9):
         for x in range(base.p):
             u = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(a_mats[x], d_mats[x])]
             u_poly = from_linear(u, dims, dims, 1, mode)
-            rhs.append(nfm._coords(compose(u_poly.scale(-1), a_inv_polys[x], 1), ss1, index))
-        sols = nfm._solve_cycles(systems, rhs)
-        h1 = [nfm._poly_from_coords(dims, 1, ss1, vec, mode) for vec in sols]
+            rhs.append(compose(u_poly.scale(-1), a_inv_polys[x], 1))
+        h1 = nfm._solve_on(systems, ss1, index, rhs, 1)
 
     h_prime = [identity_map(dims, d, mode).add(h1[x]) for x in range(base.p)]
     p_res = [from_linear(d_mats[x], dims, dims, 1, mode).jet(1) for x in range(base.p)]
@@ -430,9 +486,8 @@ def reduce_family_reference(base, spec, p_elems, lift=None, float_tol=1e-9):
                 rho = project(w_known, spec, res_only)
                 correction = compose(rho, g1_polys[x], degree).sub(rho)
                 c_poly = correction.sub(project(w_known, spec, strict))
-                rhs.append(nfm._coords(compose(c_poly, a_inv_polys[x], degree), ss, index))
-            sols = nfm._solve_cycles(systems, rhs)
-            h_n = [nfm._poly_from_coords(dims, degree, ss, vec, mode) for vec in sols]
+                rhs.append(compose(c_poly, a_inv_polys[x], degree))
+            h_n = nfm._solve_on(systems, ss, index, rhs, degree)
 
         for x in range(base.p):
             h_prime[x] = h_prime[x].add(deltas[x]).add(h_n[x])
@@ -474,10 +529,7 @@ def per_group_cycle_solutions(plan, degree, rhs):
     for group in (groups[label] for label in sorted(groups)):
         index = {k: i for i, k in enumerate(group)}
         ops = [
-            nfm._operator_rows(
-                group, index, plan.invs[x], plan.lin_polys[x], degree, spec, non_sub, 0,
-                lin_powers[x],
-            )
+            nfm._operator_rows(group, index, plan.invs[x], lin_powers[x], spec, non_sub, 0)
             for x in range(p)
         ]
         systems = nfm._cycle_systems(ext.base, ops, one, True, "per-group solve")

@@ -25,8 +25,10 @@ from nsnf.normal_form import (
 from nsnf.polymap import (
     FLOAT,
     RATIONAL,
+    SUB_RESONANCE,
     GradedDims,
     PolyMap,
+    Powers,
     class_basis,
     compose,
     from_linear,
@@ -35,7 +37,7 @@ from nsnf.polymap import (
     make_group_element,
 )
 from nsnf.rand_instances import random_instance
-from nsnf.spectrum import SpectrumSpec, TypeClass
+from nsnf.spectrum import SpectrumSpec, TypeClass, degree_bound
 
 from fixtures import (
     D11,
@@ -51,6 +53,7 @@ from oracles import (
     degree2_cocycle_data,
     doubled_cycle_pull_solution,
     invert_reference,
+    lift_table_reference,
     per_group_cycle_solutions,
     reduce_family_reference,
 )
@@ -152,7 +155,7 @@ def _t2_squared_operator(mode, mixing, tol):
     pre = [[one, one * 0], [one * 0, one]]
     index = {k: i for i, k in enumerate(group)}
     guard = {TypeClass.NON_SUB}
-    rows = nfm._operator_rows(group, index, pre, post, 2, SPEC21, guard, tol)
+    rows = nfm._operator_rows(group, index, pre, Powers(post, 2), SPEC21, guard, tol)
     return [[w for _, w in row] for row in rows]
 
 
@@ -265,6 +268,69 @@ def test_lift_section_validation():
     non_sub = PolyMap(D11, D11, 2, RATIONAL, {(1, (1, 1)): F(1)})
     with pytest.raises(ValueError, match="class"):
         build_taylor(ext, SPEC21, 3, 0, lift=pinned_lift({(0, 2): non_sub}))
+
+
+# -- the lift table -----------------------------------------------------
+
+
+def _base_sections(ext, spec, classes, rng):
+    """Random sections in `classes` at every other (point, degree) up to the
+    degree bound, in the extension's scalar mode."""
+    out = {}
+    for degree in range(2, degree_bound(spec) + 1):
+        basis = class_basis(spec, ext.dims, degree, classes)
+        for x in range(ext.base.p):
+            if basis and (x + degree) % 2 == 0:
+                keys = rng.sample(basis, min(2, len(basis)))
+                coeffs = {k: F(rng.randint(1, 9), 16) for k in keys}
+                if ext.mode == FLOAT:
+                    coeffs = {k: float(v) for k, v in coeffs.items()}
+                out[(x, degree)] = PolyMap(ext.dims, ext.dims, degree, ext.mode, coeffs)
+    return out
+
+
+def _lift_cases():
+    return {"three_cycle": (three_cycle_extension(), SPEC21), "random_26": random_instance(26)}
+
+
+@pytest.mark.parametrize("classes", ["sub-resonance", "resonance"])
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("case", ["three_cycle", "random_26"])
+def test_lift_table_matches_section_source(case, mode, classes):
+    """The lift table holds, key for key and bit for bit, the nonzero
+    sections that resolving each (point, degree) on its own gives: pinned,
+    seeded, and seeded on top of base sections."""
+    got = _lift_cases()[case]
+    ext, spec = (got.ext, got.spec) if case == "random_26" else got
+    ext = ext.to_float() if mode == FLOAT else ext
+    wanted = SUB_RESONANCE if classes == "sub-resonance" else frozenset({TypeClass.RESONANCE})
+    base = _base_sections(ext, spec, wanted, random.Random(case))
+    assert base, "the case should offer base sections"
+    d, p = degree_bound(spec), ext.base.p
+    for lift in (pinned_lift(base), seeded_lift(7), seeded_lift(7, base_sections=base)):
+        table = nfm._lift_table(lift, spec, ext.dims, ext.mode, p, d, wanted)
+        ref = lift_table_reference(lift, spec, ext.dims, ext.mode, p, d, wanted)
+        assert list(table) == list(ref)
+        assert all(table[k].cap == ref[k].cap for k in ref)
+        assert [_ordered(v) for v in table.values()] == [_ordered(v) for v in ref.values()]
+
+
+def test_pinned_section_above_degree_bound_refused():
+    """Every type above the degree bound d is non-sub-resonance, so a
+    nonzero pinned section there is refused before any solve, whether or
+    not a solve would reach it: the build's above N, the reduction's above
+    d.  A zero section there is accepted."""
+    ext = three_cycle_extension()  # SPEC21: d = 2, N = 3
+    nf = build_taylor(ext, SPEC21, 3, 0)
+    for degree in (3, 4):
+        above = PolyMap(D11, D11, degree, RATIONAL, {(0, (0, degree)): F(1)})
+        lift = pinned_lift({(1, degree): above})
+        with pytest.raises(ValueError, match="leaves its resonance class"):
+            build_taylor(ext, SPEC21, 3, 0, lift=lift)
+        with pytest.raises(ValueError, match="leaves its resonance class"):
+            reduce_family(ext.base, SPEC21, nf.p_normal, lift=lift)
+    zero = pinned_lift({(1, 4): PolyMap(D11, D11, 4, RATIONAL, {})})
+    assert build_taylor(ext, SPEC21, 3, 0, lift=zero).h_taylor == nf.h_taylor
 
 
 # -- one plan per extension --------------------------------------------

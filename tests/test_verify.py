@@ -14,7 +14,8 @@ from nsnf.polymap import (
     compose,
     identity_map,
 )
-from nsnf.spectrum import SpectrumSpec
+from nsnf.rand_instances import random_instance
+from nsnf.spectrum import SpectrumSpec, degree_bound
 from nsnf.verify import (
     VerifyError,
     check_centralizer,
@@ -141,6 +142,23 @@ def test_centralizer_pointwise_cross_check():
     ext2 = power_extension(ext, 2)
     w = check_centralizer(nf, ext2, 3, 0, samples=50, seed=3)
     assert w.ok
+    assert "max pointwise gap" in w.detail
+
+
+@pytest.mark.parametrize("seed", [15, 26, 29])
+def test_centralizer_pointwise_in_resonance_coordinates(seed):
+    """With a reduction H' that is not the identity, Q_x lives in H' o H
+    coordinates and the limits in H coordinates; the pointwise stage must
+    carry both limits through H' before comparing them."""
+    ri = random_instance(seed)
+    ext = ri.ext.to_float()
+    nf = build_taylor(ext, ri.spec, ri.n_taylor, ri.alpha)
+    red = resonance_reduce(nf)
+    ident = identity_map(ext.dims, degree_bound(ri.spec), "float")
+    assert any(g.poly != ident for g in red.h_prime)
+    ext2 = power_extension(ext, 2)
+    w = check_centralizer(nf, ext2, ri.n_taylor, ri.alpha, reduced=red, samples=50)
+    assert w.ok, w.detail
     assert "max pointwise gap" in w.detail
 
 
