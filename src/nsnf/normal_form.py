@@ -102,6 +102,7 @@ def _lift_table(strategy: LiftStrategy, spec, dims, mode, p, d, classes):
     """Every nonzero lift section, keyed (point, degree) over degrees 2..d,
     in the order the solves reach them.
 
+    A key that names no point of the base, or a degree below 2, is refused.
     Each pinned section is checked once, whatever its degree: above d every
     type is non-sub-resonance, so a nonzero section there leaves its class.
     Seeded offsets are drawn in a fixed order over degrees, points and
@@ -112,7 +113,12 @@ def _lift_table(strategy: LiftStrategy, spec, dims, mode, p, d, classes):
         raise ValueError("seeded lift needs a seed")
     if strategy.kind not in ("complement", "pinned", "seeded"):
         raise ValueError(f"unknown lift kind {strategy.kind!r}")
-    for (_, degree), section in strategy.sections.items():
+    for (x, degree), section in strategy.sections.items():
+        if not (0 <= x < p and degree >= 2):
+            raise ValueError(
+                f"lift section key {(x, degree)} is not a point in 0..{p - 1} "
+                "with a degree of at least 2"
+            )
         if section.mode != mode:
             raise ValueError("lift section scalar mode mismatch")
         if section.source.dims != dims.dims or section.target.dims != dims.dims:

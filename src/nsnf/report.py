@@ -9,6 +9,7 @@ that reproducibility.
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -149,6 +150,22 @@ def assemble_report(
 
 _INF = float("inf")
 
+# `dump_report` writes its buffer out every CHUNK_RECORDS records of a
+# record list, the only lists that grow with the size of the polynomials.
+CHUNK_RECORDS = 512
+
+
+class _Stream(list):
+    """A text buffer that `flush` empties into the file `fh`."""
+
+    def __init__(self, fh) -> None:
+        super().__init__()
+        self.fh = fh
+
+    def flush(self) -> None:
+        self.fh.write("".join(self))
+        self.clear()
+
 
 def _float_text(v: float) -> str:
     if v != v:
@@ -247,8 +264,9 @@ def _write_records(lst, keys: list, level: int, out: list) -> None:
     open_list, item, close_list = "[" + deep, "," + deep, field + "]"
     close = inner + "}"
     append = out.append
+    flush = out.flush if isinstance(out, _Stream) else None
     sep = "[" + inner
-    for rec in lst:
+    for n, rec in enumerate(lst, 1):
         append(sep)
         for head, key in fields:
             value = rec[key]
@@ -263,6 +281,8 @@ def _write_records(lst, keys: list, level: int, out: list) -> None:
                 _write(value, level + 2, out)
         append(close)
         sep = "," + inner
+        if flush is not None and n % CHUNK_RECORDS == 0:
+            flush()
     append("\n" + "  " * level + "]")
 
 
@@ -275,10 +295,14 @@ def report_text(report) -> str:
 
 def dump_report(report: dict, out: str | None = None) -> None:
     """Write the report as the bytes of json.dumps(report, sort_keys=True,
-    indent=2) plus a newline, to stdout or to the file `out`."""
-    text = report_text(report)
-    if out is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    indent=2) plus a newline, to stdout or to the file `out`.
+
+    The text goes out in chunks of CHUNK_RECORDS records, so the whole of
+    it is never held at once.  A value that cannot be serialized raises
+    TypeError and may leave a prefix of the report written.
+    """
+    with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+        buf = _Stream(fh)
+        _write(report, 0, buf)
+        buf.append("\n")
+        buf.flush()

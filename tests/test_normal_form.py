@@ -4,6 +4,7 @@ closed forms and independent series / doubled-cycle oracles."""
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -331,6 +332,26 @@ def test_pinned_section_above_degree_bound_refused():
             reduce_family(ext.base, SPEC21, nf.p_normal, lift=lift)
     zero = pinned_lift({(1, 4): PolyMap(D11, D11, 4, RATIONAL, {})})
     assert build_taylor(ext, SPEC21, 3, 0, lift=zero).h_taylor == nf.h_taylor
+
+
+@pytest.mark.parametrize("key", [(5, 2), (3, 2), (-1, 2), (0, 1)])
+def test_lift_section_key_no_solve_reaches_refused(key):
+    """A section keyed by a point outside 0..p-1 or by a degree below 2 is
+    reached by no solve, so it is refused with its key named: pinned, as a
+    seeded lift's base section, and in the reduction, zero or not."""
+    ext = three_cycle_extension()  # p = 3
+    nf = build_taylor(ext, SPEC21, 3, 0)
+    degree = key[1]
+    # t2^degree -> block 0: sub-resonance and resonant for degree 2
+    section = PolyMap(D11, D11, degree, RATIONAL, {(0, (0, degree)): F(1, 3)})
+    named = re.escape(f"lift section key {key}")
+    for lift in (pinned_lift({key: section}), seeded_lift(7, base_sections={key: section})):
+        with pytest.raises(ValueError, match=named):
+            build_taylor(ext, SPEC21, 3, 0, lift=lift)
+        with pytest.raises(ValueError, match=named):
+            reduce_family(ext.base, SPEC21, nf.p_normal, lift=lift)
+    with pytest.raises(ValueError, match=named):
+        build_taylor(ext, SPEC21, 3, 0, lift=pinned_lift({key: PolyMap(D11, D11, degree, RATIONAL, {})}))
 
 
 # -- one plan per extension --------------------------------------------
