@@ -15,6 +15,9 @@ compute the same thing write the same OUT, whatever the hash seed:
     python scripts/check_set.py a.txt        # in one checkout
     python scripts/check_set.py b.txt        # in the other
     diff a.txt b.txt
+
+`check_set_exit_codes.txt`, next to this script, pins the name and exit
+code of every job; CI compares it with `cut -d' ' -f1,2 OUT`.
 """
 
 from __future__ import annotations

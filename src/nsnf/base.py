@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .polymap import FLOAT, RATIONAL, GradedDims, PolyMap, compose, identity_map
+from .polymap import FLOAT, GradedDims, PolyMap, compose, identity_map
 from .spectrum import (
     CriticalityCheck,
     SpectralConstants,
@@ -184,35 +183,14 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _block_matrix(matrix, dims: GradedDims, i: int):
-    sl = dims.block_slice(i)
-    return [[float(matrix[r][c]) for c in range(sl.start, sl.stop)] for r in range(sl.start, sl.stop)]
-
-
-def _grid_directions(n: int) -> list[list[float]]:
-    """Deterministic unit directions: coordinate axes plus mixed diagonals."""
-    dirs = []
-    for c in range(n):
-        for sign in (1.0, -1.0):
-            v = [0.0] * n
-            v[c] = sign
-            dirs.append(v)
-    if n > 1:
-        diag = [1.0 / math.sqrt(n)] * n
-        dirs.append(diag)
-        alt = [(-1.0) ** c / math.sqrt(n) for c in range(n)]
-        dirs.append(alt)
-    return dirs
-
-
 def validate_extension(
     ext: Extension, spec: SpectrumSpec, n_taylor: int, alpha
 ) -> ValidationReport:
     """Check the standing assumptions; numeric comparisons are strict.
 
     Singular-value bands realize the adapted-norm estimates per block; the
-    contraction check combines a coefficient-sum certificate that is
-    sufficient on the sigma-ball with a deterministic grid sample; the
+    contraction check is a coefficient-sum certificate, which bounds
+    |F_x(t)|_2 by certificate * |t|_2 on the whole sigma-ball; the
     narrowness and criticality gates use exact rational arithmetic.
     """
     report = ValidationReport()
@@ -231,62 +209,43 @@ def validate_extension(
     lo = [math.exp(float(c - spec.epsilon)) for c in spec.chi]
     hi = [math.exp(float(c + spec.epsilon)) for c in spec.chi]
 
-    diag_ok, band_ok = True, True
-    diag_detail, band_detail = [], []
+    diag_detail, band_detail, contraction_detail = [], [], []
     for x, pm in enumerate(ext.fibers):
         matrix = pm.linear_matrix()
         for r, c, entry in ext.dims.off_block(matrix):
             if entry:
-                diag_ok = False
                 diag_detail.append(f"point {x}: off-block entry at ({r}, {c})")
+        full = np.array([[float(v) for v in row] for row in matrix], dtype=float)
         for i in range(ext.dims.ell):
-            block = np.array(_block_matrix(matrix, ext.dims, i), dtype=float)
-            svals = np.linalg.svd(block, compute_uv=False)
+            sl = ext.dims.block_slice(i)
+            svals = np.linalg.svd(full[sl, sl], compute_uv=False)
             smin, smax = float(svals[-1]), float(svals[0])
             if not (lo[i] <= smin and smax <= hi[i]):
-                band_ok = False
                 band_detail.append(
                     f"point {x} block {i}: singular values [{smin:.6g}, {smax:.6g}] "
                     f"outside [{lo[i]:.6g}, {hi[i]:.6g}]"
                 )
-    report.record("block-diagonal", diag_ok, "; ".join(diag_detail))
-    report.record("spectral-band", band_ok, "; ".join(band_detail))
-
-    contraction_ok = True
-    contraction_detail = []
-    for x, pm in enumerate(ext.fibers):
-        matrix = pm.linear_matrix()
-        full = np.array([[float(v) for v in row] for row in matrix], dtype=float)
         linear_norm = float(np.linalg.svd(full, compute_uv=False)[0])
         # Coefficient-sum bound for the nonlinear tail on the sigma-ball:
         # each |t^beta| <= sigma^{|beta|-1} ||t||, aggregated over target
-        # coordinates in the Euclidean norm.
+        # coordinates in the Euclidean norm.  Explicit += loops keep the
+        # bits: sum() of floats is compensated from Python 3.12 on.
+        coord_sums = [0.0] * ext.dims.total
+        for (coord, exps), value in pm.coeffs.items():
+            deg = sum(exps)
+            if deg >= 2:
+                coord_sums[coord] += abs(float(value)) * ext.sigma ** (deg - 1)
         tail_sq = 0.0
-        for c in range(ext.dims.total):
-            coord_sum = 0.0
-            for (coord, exps), value in pm.coeffs.items():
-                deg = sum(exps)
-                if coord == c and deg >= 2:
-                    coord_sum += abs(float(value)) * ext.sigma ** (deg - 1)
+        for coord_sum in coord_sums:
             tail_sq += coord_sum * coord_sum
         certificate = linear_norm + math.sqrt(tail_sq)
         if not certificate <= ext.xi:
-            contraction_ok = False
             contraction_detail.append(
                 f"point {x}: certificate {certificate:.6g} exceeds xi {ext.xi:.6g}"
             )
-        pm_f = pm.to_float()
-        for direction in _grid_directions(ext.dims.total):
-            for radius_scale in (1.0, 0.5, 0.25):
-                radius = ext.sigma * radius_scale
-                point = [radius * v for v in direction]
-                image = pm_f.evaluate(point)
-                if not math.sqrt(sum(v * v for v in image)) <= ext.xi * radius:
-                    contraction_ok = False
-                    contraction_detail.append(
-                        f"point {x}: sampled expansion at radius {radius:.4g}"
-                    )
-    report.record("contraction", contraction_ok, "; ".join(contraction_detail))
+    report.record("block-diagonal", not diag_detail, "; ".join(diag_detail))
+    report.record("spectral-band", not band_detail, "; ".join(band_detail))
+    report.record("contraction", not contraction_detail, "; ".join(contraction_detail))
 
     narrow = check_narrowness(spec, constants)
     report.record(

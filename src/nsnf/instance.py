@@ -2,21 +2,24 @@
 regularity, optional commuting extension, and run options.
 
 Rationals are serialized as {"num": ..., "den": ...} objects (plain ints
-are accepted and read as integers).  Parse failures raise InstanceError
-with the JSON path of the offending field.
+are accepted and read as integers).  No value is coerced: a boolean or a
+float where an integer belongs is refused, and so is a float coefficient
+that is not a finite number.  Parse failures raise InstanceError with the
+JSON path of the offending field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .base import Extension, FiniteBase
 from .evaluator import EvalConfig
 from .normal_form import LiftStrategy, complement_lift, seeded_lift
-from .polymap import FLOAT, RATIONAL, GradedDims, PolyMap, from_records, to_records
+from .polymap import FLOAT, RATIONAL, GradedDims, PolyMap, to_records
 from .spectrum import SpectrumSpec
 
 
@@ -37,22 +40,37 @@ def parse_fraction(obj, where: str) -> Fraction:
         extra = set(obj) - {"num", "den"}
         if extra:
             _fail(where, f"unexpected keys {sorted(extra)} in rational")
-        try:
-            num = obj["num"]
-        except KeyError:
+        if "num" not in obj:
             _fail(where, "rational object needs a 'num' field")
-        den = obj.get("den", 1)
-        if not isinstance(num, int) or not isinstance(den, int):
-            _fail(where, "rational parts must be integers")
-        if den == 0:
-            _fail(where, "zero denominator")
-        return Fraction(num, den)
+        return _ratio(obj["num"], obj.get("den", 1), where)
     _fail(where, f"expected a rational (int or num/den object), got {type(obj).__name__}")
+
+
+def _ratio(num, den, where: str) -> Fraction:
+    """num/den from the integer fields `where`.num and `where`.den."""
+    if not _is_int(num):
+        _fail(f"{where}.num", f"expected an integer, got {num!r}")
+    if not _is_int(den):
+        _fail(f"{where}.den", f"expected an integer, got {den!r}")
+    if den == 0:
+        _fail(f"{where}.den", "zero denominator")
+    return Fraction(num, den)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int, not a boolean (1.0 is a float)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
     """A JSON number: an int or a float, not a boolean."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int_list(value, where: str) -> list:
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        _fail(where, "expected a list of integers")
+    return value
 
 
 def fraction_json(value: Fraction) -> dict:
@@ -143,39 +161,39 @@ def _parse_poly_records(records, dims: GradedDims, mode: str, where: str) -> Pol
     if not isinstance(records, list) or not records:
         _fail(where, "expected a non-empty list of coefficient records")
     cap = 1
-    cleaned = []
+    coeffs = {}
     for j, rec in enumerate(records):
         spot = f"{where}[{j}]"
         if not isinstance(rec, dict):
             _fail(spot, "coefficient record must be an object")
         if "coord" not in rec or "exponents" not in rec:
             _fail(spot, "record needs 'coord' and 'exponents'")
-        exps = rec["exponents"]
-        if not isinstance(exps, list) or not all(isinstance(e, int) for e in exps):
-            _fail(spot, "'exponents' must be a list of integers")
+        coord = rec["coord"]
+        if not _is_int(coord):
+            _fail(f"{spot}.coord", f"expected an integer, got {coord!r}")
+        exps = tuple(_int_list(rec["exponents"], f"{spot}.exponents"))
         cap = max(cap, sum(exps))
         if mode == RATIONAL:
             if "value" in rec:
                 _fail(spot, "rational instances use num/den, not 'value'")
-            cleaned.append(
-                {
-                    "coord": rec["coord"],
-                    "exponents": exps,
-                    "num": rec.get("num", 0),
-                    "den": rec.get("den", 1),
-                }
-            )
+            value = _ratio(rec.get("num", 0), rec.get("den", 1), spot)
         else:
             if "num" in rec or "den" in rec:
                 _fail(spot, "float instances use 'value', not num/den")
             if "value" not in rec:
                 _fail(spot, "record needs 'value'")
-            cleaned.append(
-                {"coord": rec["coord"], "exponents": exps, "value": float(rec["value"])}
-            )
+            value = rec["value"]
+            if not _is_number(value):
+                _fail(f"{spot}.value", f"expected a number, got {type(value).__name__}")
+            if not abs(value) <= sys.float_info.max:
+                _fail(f"{spot}.value", "not a finite binary64 number")
+            value = float(value)
+        if (coord, exps) in coeffs:
+            _fail(spot, f"duplicate record for {(coord, exps)}")
+        coeffs[(coord, exps)] = value
     try:
-        return from_records(cleaned, dims, dims, cap, mode)
-    except (ValueError, TypeError, ZeroDivisionError) as err:
+        return PolyMap(dims, dims, cap, mode, coeffs)
+    except ValueError as err:
         _fail(where, str(err))
 
 
@@ -183,9 +201,7 @@ def _parse_extension(block: dict, dims: GradedDims, mode: str, where: str) -> Ex
     for key in ("permutation", "fibers"):
         if block.get(key) is None:
             _fail(where, f"missing '{key}'")
-    perm = block["permutation"]
-    if not isinstance(perm, list):
-        _fail(f"{where}.permutation", "expected a list")
+    perm = _int_list(block["permutation"], f"{where}.permutation")
     try:
         base = FiniteBase(perm)
     except ValueError as err:
@@ -219,6 +235,8 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
     spectrum = raw["spectrum"]
     if not isinstance(spectrum, dict) or "chi" not in spectrum or "epsilon" not in spectrum:
         _fail("spectrum", "needs 'chi' and 'epsilon'")
+    if not isinstance(spectrum["chi"], list):
+        _fail("spectrum.chi", "expected a list of rationals")
     chi = [
         parse_fraction(c, f"spectrum.chi[{i}]") for i, c in enumerate(spectrum["chi"])
     ]
@@ -232,14 +250,12 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
     if not isinstance(reg, dict) or "n_taylor" not in reg:
         _fail("regularity", "needs 'n_taylor' (and optional 'alpha')")
     n_taylor = reg["n_taylor"]
-    if not isinstance(n_taylor, int) or n_taylor < 1:
+    if not _is_int(n_taylor) or n_taylor < 1:
         _fail("regularity.n_taylor", "expected a positive integer")
     alpha = parse_fraction(reg.get("alpha", 0), "regularity.alpha")
 
     dims_raw = raw["dims"]
-    if not isinstance(dims_raw, list) or not all(
-        isinstance(m, int) and m >= 1 for m in dims_raw
-    ):
+    if not isinstance(dims_raw, list) or not all(_is_int(m) and m >= 1 for m in dims_raw):
         _fail("dims", "expected a list of positive block dimensions")
     if len(dims_raw) != spec.ell:
         _fail("dims", f"{len(dims_raw)} blocks against {spec.ell} spectrum values")
@@ -252,13 +268,14 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
     base_block = raw["base"]
     if not isinstance(base_block, dict) or "permutation" not in base_block:
         _fail("base", "needs 'permutation' (and optional 'p')")
+    perm = _int_list(base_block["permutation"], "base.permutation")
     declared_p = base_block.get("p")
-    if declared_p is not None and declared_p != len(base_block["permutation"]):
+    if declared_p is not None and (not _is_int(declared_p) or declared_p != len(perm)):
         _fail("base.p", "does not match the permutation length")
 
     ext = _parse_extension(
         {
-            "permutation": base_block["permutation"],
+            "permutation": perm,
             "fibers": raw["fibers"],
             "sigma": raw["sigma"],
             "xi": raw["xi"],
@@ -295,7 +312,7 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
             if "alpha" in cm_reg
             else alpha
         )
-        if not isinstance(commuting_n, int) or commuting_n < 1:
+        if not _is_int(commuting_n) or commuting_n < 1:
             _fail("commuting.regularity.n_taylor", "expected a positive integer")
 
     opts = raw.get("options", {})

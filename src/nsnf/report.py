@@ -205,7 +205,7 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(key) + ": "
 
 
-def _write(o, level: int, out: list) -> None:
+def _write(o, level: int, out: _Stream) -> None:
     """Append the text of o at nesting depth `level` to out."""
     text = _scalar_text(o)
     if text is not None:
@@ -218,7 +218,7 @@ def _write(o, level: int, out: list) -> None:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _write_dict(d: dict, level: int, out: list) -> None:
+def _write_dict(d: dict, level: int, out: _Stream) -> None:
     if not d:
         out.append("{}")
         return
@@ -230,7 +230,7 @@ def _write_dict(d: dict, level: int, out: list) -> None:
     out.append("\n" + "  " * level + "}")
 
 
-def _write_list(lst, level: int, out: list) -> None:
+def _write_list(lst, level: int, out: _Stream) -> None:
     if not lst:
         out.append("[]")
         return
@@ -253,7 +253,7 @@ def _write_list(lst, level: int, out: list) -> None:
     out.append(close)
 
 
-def _write_records(lst, keys: list, level: int, out: list) -> None:
+def _write_records(lst, keys: list, level: int, out: _Stream) -> None:
     """A list of nonempty dicts that share one key set, `keys` sorted."""
     inner = "\n" + "  " * (level + 1)
     field = "\n" + "  " * (level + 2)
@@ -264,7 +264,6 @@ def _write_records(lst, keys: list, level: int, out: list) -> None:
     open_list, item, close_list = "[" + deep, "," + deep, field + "]"
     close = inner + "}"
     append = out.append
-    flush = out.flush if isinstance(out, _Stream) else None
     sep = "[" + inner
     for n, rec in enumerate(lst, 1):
         append(sep)
@@ -281,16 +280,9 @@ def _write_records(lst, keys: list, level: int, out: list) -> None:
                 _write(value, level + 2, out)
         append(close)
         sep = "," + inner
-        if flush is not None and n % CHUNK_RECORDS == 0:
-            flush()
+        if n % CHUNK_RECORDS == 0:
+            out.flush()
     append("\n" + "  " * level + "]")
-
-
-def report_text(report) -> str:
-    """json.dumps(report, sort_keys=True, indent=2), byte for byte."""
-    out: list = []
-    _write(report, 0, out)
-    return "".join(out)
 
 
 def dump_report(report: dict, out: str | None = None) -> None:

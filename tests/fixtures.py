@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 from nsnf.base import Extension, FiniteBase
 from nsnf.polymap import FLOAT, RATIONAL, GradedDims, PolyMap
@@ -67,3 +70,14 @@ def three_cycle_extension() -> Extension:
         }
         fibers.append(PolyMap(D11, D11, 2, RATIONAL, coeffs))
     return Extension(FiniteBase([1, 2, 0]), D11, fibers, sigma=0.25, xi=0.95)
+
+
+def workloads_module(monkeypatch):
+    """The benchmark's `perfbench/workloads.py`, imported by path for the
+    length of one test."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads

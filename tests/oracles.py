@@ -537,3 +537,32 @@ def per_group_cycle_solutions(plan, degree, rhs):
         for x in range(p):
             out[x].update(zip(group, sols[x]))
     return out
+
+
+def grid_expansions(ext):
+    """A frozen copy of the grid sample that `validate_extension` ran after
+    its contraction certificate until the certificate alone decided the
+    check: every fiber map is evaluated in binary64 at the coordinate axes
+    (both signs) and, for n > 1, two mixed unit diagonals, each at radii
+    sigma, sigma/2 and sigma/4.  Returns the detail lines the sample added,
+    one per point where |F_x(t)|_2 > xi |t|_2 (no lines: the sample passed)."""
+    n = ext.dims.total
+    directions = []
+    for c in range(n):
+        for sign in (1.0, -1.0):
+            v = [0.0] * n
+            v[c] = sign
+            directions.append(v)
+    if n > 1:
+        directions.append([1.0 / math.sqrt(n)] * n)
+        directions.append([(-1.0) ** c / math.sqrt(n) for c in range(n)])
+    lines = []
+    for x, pm in enumerate(ext.fibers):
+        pm_f = pm.to_float()
+        for direction in directions:
+            for radius_scale in (1.0, 0.5, 0.25):
+                radius = ext.sigma * radius_scale
+                image = pm_f.evaluate([radius * v for v in direction])
+                if not math.sqrt(sum(v * v for v in image)) <= ext.xi * radius:
+                    lines.append(f"point {x}: sampled expansion at radius {radius:.4g}")
+    return lines

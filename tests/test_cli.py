@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,88 @@ def test_invalid_inputs_exit_5_naming_the_field(tmp_path, capsys, edit, flags, f
     assert code == 5
     assert captured.out == ""
     assert captured.err.startswith("error: ") and field in captured.err
+
+
+def _set_record(field, value):
+    """Set `field` of the first coefficient record of fiber 0."""
+
+    def edit(raw):
+        raw["fibers"][0][0][field] = value
+
+    return edit
+
+
+RECORD = "$.fibers[0][0]"
+
+
+@pytest.mark.parametrize(
+    "name, edit, field",
+    [
+        pytest.param("three_cycle.json", _set_record("num", 46.5), f"{RECORD}.num", id="num-float"),
+        pytest.param("three_cycle.json", _set_record("num", True), f"{RECORD}.num", id="num-bool"),
+        pytest.param("three_cycle.json", _set_record("den", 125.0), f"{RECORD}.den", id="den-float"),
+        pytest.param("three_cycle.json", _set_record("den", 0), f"{RECORD}.den", id="den-zero"),
+        pytest.param("three_cycle.json", _set_record("coord", 0.9), f"{RECORD}.coord", id="coord-float"),
+        pytest.param("three_cycle.json", _set_record("coord", "1"), f"{RECORD}.coord", id="coord-str"),
+        pytest.param(
+            "three_cycle.json", _set_record("exponents", [True, False]), f"{RECORD}.exponents", id="exponents-bool"
+        ),
+        pytest.param("worked_2block.json", _set_record("value", "0.5"), f"{RECORD}.value", id="value-str"),
+        pytest.param("worked_2block.json", _set_record("value", "nan"), f"{RECORD}.value", id="value-nan-str"),
+        pytest.param("worked_2block.json", _set_record("value", True), f"{RECORD}.value", id="value-bool"),
+        pytest.param("worked_2block.json", _set_record("value", math.nan), f"{RECORD}.value", id="value-nan"),
+        pytest.param("worked_2block.json", _set_record("value", -math.inf), f"{RECORD}.value", id="value-inf"),
+        pytest.param("worked_2block.json", _set_record("value", 10**400), f"{RECORD}.value", id="value-huge-int"),
+        pytest.param(
+            "three_cycle.json", _set("base", "permutation", value=[1.5, 2, 0]), "base.permutation", id="perm-float"
+        ),
+        pytest.param(
+            "three_cycle.json", _set("base", "permutation", value=["1", 2, 0]), "base.permutation", id="perm-str"
+        ),
+        pytest.param("three_cycle.json", _set("base", "permutation", value=3), "base.permutation", id="perm-int"),
+        pytest.param(
+            "three_cycle.json",
+            _set("commuting", "permutation", value=[1.0, 2, 0]),
+            "commuting.permutation",
+            id="commuting-perm-float",
+        ),
+        pytest.param("three_cycle.json", _set("base", "p", value=3.0), "base.p", id="p-float"),
+        pytest.param("three_cycle.json", _set("dims", value=[True, True]), "dims", id="dims-bool"),
+        pytest.param(
+            "three_cycle.json", _set("regularity", "n_taylor", value=True), "regularity.n_taylor", id="n-taylor-bool"
+        ),
+        pytest.param(
+            "three_cycle.json",
+            _set("commuting", "regularity", value={"n_taylor": True}),
+            "commuting.regularity.n_taylor",
+            id="commuting-n-taylor-bool",
+        ),
+        pytest.param(
+            "three_cycle.json", _set("regularity", "alpha", value={"num": True}), "regularity.alpha.num", id="alpha-bool"
+        ),
+        pytest.param("three_cycle.json", _set("spectrum", "chi", value=5), "spectrum.chi", id="chi-int"),
+    ],
+)
+def test_bad_json_types_exit_5_naming_the_path(tmp_path, capsys, name, edit, field):
+    """A value of the wrong JSON type is refused, never coerced."""
+    code = cli.main(["all", _edited_instance(tmp_path, name, edit)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f" {field}: " in captured.err
+
+
+@pytest.mark.parametrize("mode", [None, "float"])
+@pytest.mark.parametrize("name", ["strictsub_linear.json", "strictsub_linear_rational.json"])
+def test_strictsub_linear_validation_details(capsys, name, mode):
+    """The contraction detail is the certificate's line alone."""
+    code, rep, _ = run_cli(capsys, "all", path(name), *(["--mode", mode] if mode else []))
+    assert code == 0
+    failed = {c["name"]: c["detail"] for c in rep["validation"]["checks"] if not c["ok"]}
+    assert failed == {
+        "block-diagonal": "point 0: off-block entry at (0, 1)",
+        "contraction": "point 0: certificate 1.07308 exceeds xi 0.95",
+    }
 
 
 @pytest.mark.parametrize("regularity", [{"n_taylor": 3}, None])

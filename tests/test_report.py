@@ -1,16 +1,14 @@
 """The report writer against the standard library's pretty-printer: the
-same bytes as json.dumps(..., sort_keys=True, indent=2) on arbitrary
-trees and on every report the shipped instances produce, whether the
-report is returned whole or streamed in chunks."""
+same bytes as json.dumps(..., sort_keys=True, indent=2) plus a newline on
+arbitrary trees and on every report the shipped instances produce, to a
+file or to stdout, in one chunk or in many."""
 
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import json
 import math
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,7 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nsnf import cli, report
-from nsnf.report import dump_report, report_text
+from nsnf.report import dump_report
+
+from fixtures import workloads_module
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -60,9 +60,21 @@ def _containers(children):
 trees = st.recursive(scalars, _containers, max_leaves=25)
 
 
+def _stdlib(tree) -> str:
+    return json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def _dumped(tree) -> str:
+    """What dump_report writes to stdout."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        dump_report(tree)
+    return sink.getvalue()
+
+
 @given(trees)
 def test_writer_matches_stdlib(tree):
-    assert report_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    assert _dumped(tree) == _stdlib(tree)
 
 
 def test_writer_edge_values():
@@ -74,9 +86,9 @@ def test_writer_edge_values():
         "mixed": [1, "1", None, [], {}, [True]],
         "é\"\n": {},
     }
-    assert report_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    assert _dumped(tree) == _stdlib(tree)
     with pytest.raises(TypeError):
-        report_text({"x": object()})
+        _dumped({"x": object()})
 
 
 def test_dump_report_writes_text_and_newline(tmp_path, capsys):
@@ -84,9 +96,8 @@ def test_dump_report_writes_text_and_newline(tmp_path, capsys):
     out = tmp_path / "r.json"
     dump_report(tree, str(out))
     dump_report(tree)
-    expected = json.dumps(tree, sort_keys=True, indent=2) + "\n"
-    assert out.read_text() == expected
-    assert capsys.readouterr().out == expected
+    assert out.read_text() == _stdlib(tree)
+    assert capsys.readouterr().out == _stdlib(tree)
 
 
 @pytest.mark.parametrize("mode", [None, "float"])
@@ -99,7 +110,7 @@ def test_shipped_reports_are_stdlib_bytes(tmp_path, capsys, name, mode):
     cli.main(argv)
     capsys.readouterr()
     text = out.read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert text == _stdlib(json.loads(text))
 
 
 # -- streaming in chunks ------------------------------------------------
@@ -115,10 +126,6 @@ class _Writes(io.StringIO):
     def write(self, text: str) -> int:
         self.writes += 1
         return super().write(text)
-
-
-def _stdlib(tree) -> str:
-    return json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
 def _dump_to_both(tree, tmp_path) -> int:
@@ -165,21 +172,19 @@ def test_dump_report_flushes_inside_nested_record_lists(tmp_path):
 def test_chunked_writer_matches_stdlib(tree):
     """Random trees streamed with a flush after every second record."""
     saved = report.CHUNK_RECORDS
-    sink = io.StringIO()
     try:
         report.CHUNK_RECORDS = 2
-        with contextlib.redirect_stdout(sink):
-            dump_report(tree)
+        text = _dumped(tree)
     finally:
         report.CHUNK_RECORDS = saved
-    assert sink.getvalue() == _stdlib(tree)
+    assert text == _stdlib(tree)
 
 
 def test_dump_report_peak_memory_is_bounded(tmp_path):
     """Streaming keeps the writer's traced peak under 1 MiB on a report of
     more than 4 MiB of text, a quarter of the text alone."""
     tree = {"h": [_records(6000, 6000 * x) for x in range(3)], "mode": "rational"}
-    size = len(report_text(tree))
+    size = len(_stdlib(tree))
     assert size >= 4 * 2**20
     out = tmp_path / "r.json"
     tracemalloc.start()
@@ -188,7 +193,7 @@ def test_dump_report_peak_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.stat().st_size == size + 1
+    assert out.stat().st_size == size
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB for {size / 2**20:.2f} MiB of text"
 
 
@@ -199,10 +204,7 @@ def test_dump_report_refuses_unsupported_values(tmp_path):
 
 def _ladder_rung(name: str, tmp_path: Path, monkeypatch) -> Path:
     """The benchmark's ladder rung `name` at seed 0, as an instance file."""
-    spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = workloads_module(monkeypatch)
     (rung,) = [r for r in workloads.ladder_rungs() if r["name"] == name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(workloads.ladder_instance(rung, 0)))
