@@ -6,9 +6,11 @@ evaluations along the forward orbit.  Forward orbits are computed by
 binary64 evaluation of the fiber maps themselves, never by truncated
 composition, and the normal-form composites are undone stepwise through the
 degree-d group inverses.  All samples of a call advance in lockstep through
-batched evaluation (`PolyMap.evaluate_batch`), each frozen at its own step
-of convergence; `Evaluator.survey` sends every limit of a run, residual
-pairs and contact-order rays alike, through one such batch.
+batched evaluation (`PolyMap.evaluate_batch`), each frozen at its own step:
+no earlier than its first small increment and than the step a certified
+bound on its distance to the limit allows (`_CertifiedStop`).
+`Evaluator.survey` sends every limit of a run, residual pairs and
+contact-order rays alike, through one such batch.
 
 The residual sample is drawn from random.Random(seed), bit for bit as a
 per-sample loop of randrange, gauss and random draws it, but decoded in
@@ -25,11 +27,14 @@ from itertools import repeat
 import numpy as np
 
 from .normal_form import NormalFormResult
-from .polymap import group_inverse
+from .polymap import PolyMap, group_inverse
 
 
 # `survey` also checks the one-step gap at every this-many-th residual sample.
 ONE_STEP_EVERY = 20
+# The certified stop sorts rows into this many classes by initial radius,
+# radius * 2^(-m/4) for m = 0, 1, ...
+CLASSES = 48
 
 
 class EvalError(RuntimeError):
@@ -81,6 +86,8 @@ class ResidualStats:
     max_increment_ratio: float | None
     cert_ratio: float
     max_one_step_gap: float
+    max_bound: float
+    max_k_star: int
 
 
 @dataclass
@@ -90,17 +97,34 @@ class Limits:
     values: np.ndarray  # (samples, n)
     iterations: np.ndarray  # (samples,): steps to convergence, 0 at the zero point
     increments: np.ndarray  # (steps, samples): row k-1 holds step k, nan past a sample's last
+    bounds: np.ndarray  # (samples,): certified bound on |value - limit|, 0 at the zero point
+    k_star: np.ndarray  # (samples,): first step whose bound is below tol/10, 0 at the zero point
 
 
 def _sup(rows: np.ndarray) -> np.ndarray:
-    """Sup norm of every row."""
-    return np.abs(rows).max(axis=1, initial=0.0)
+    """Sup norm of every row, a column at a time: numpy reduces along short
+    rows slowly."""
+    out = np.zeros(len(rows))
+    for column in np.abs(rows).T:
+        np.maximum(out, column, out=out)
+    return out
+
+
+def _sum_sq(rows: np.ndarray) -> np.ndarray:
+    """Sum of squares of every row, a column at a time."""
+    out = np.zeros(len(rows))
+    for column in rows.T:
+        out += column * column
+    return out
 
 
 def evaluate_at(maps, xs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Row i is maps[xs[i]] evaluated at points[i], one batch per point."""
+    present = np.flatnonzero(np.bincount(xs, minlength=len(maps))).tolist()
+    if len(present) == 1:
+        return maps[present[0]].evaluate_batch(points)
     out = np.empty((len(xs), maps[0].target.total))
-    for x in sorted(set(xs.tolist())):
+    for x in present:
         rows = xs == x
         out[rows] = maps[x].evaluate_batch(points[rows])
     return out
@@ -227,6 +251,294 @@ def _contact_fit(radii: tuple[float, ...], gaps: tuple[float, ...], floor: float
     return OrderFit(slope, my - slope * mx, radii, gaps, False)
 
 
+# -- the certified stop -------------------------------------------------
+
+
+def _degree_sums(pmap: PolyMap) -> np.ndarray:
+    """(coordinate, degree) table of sum |c| over each coordinate's terms of
+    each degree: the coefficient majorants of a float map."""
+    table = np.zeros((pmap.target.total, pmap.degree() + 1))
+    for (coord, exps), value in pmap.coeffs.items():
+        table[coord, sum(exps)] += abs(value)
+    return table
+
+
+def _majorant(pmap: PolyMap) -> np.ndarray:
+    """m_G: the degree-n coefficient is max_i sum_{|e|=n} |c_{i,e}|, so
+    |G(t)|_inf <= m_G(r) where |t|_inf <= r."""
+    return _degree_sums(pmap).max(axis=0)
+
+
+def _lipschitz(pmap: PolyMap) -> np.ndarray:
+    """Lambda_G as a univariate polynomial: degree n - 1 takes n times the
+    degree-n coefficients, so it bounds the sup-norm Lipschitz constant of
+    G on the sup-ball of radius r."""
+    table = _degree_sums(pmap)
+    return (table[:, 1:] * np.arange(1, table.shape[1])).max(axis=0)
+
+
+def _trim(coeffs) -> tuple[int, list]:
+    """A univariate polynomial as (low, c): sum_k c[k] r^(low + k), with
+    neither leading nor trailing zeros in c."""
+    coeffs = [float(c) for c in coeffs]
+    low = next((k for k, c in enumerate(coeffs) if c), len(coeffs))
+    high = len(coeffs)
+    while high > low and not coeffs[high - 1]:
+        high -= 1
+    return low, coeffs[low:high]
+
+
+def _power(out, r, low: int):
+    """out * r^low, by repeated squaring."""
+    while low:
+        if low & 1:
+            out = out * r
+        low >>= 1
+        if low:
+            r = r * r
+    return out
+
+
+def _poly(poly: tuple[int, list], r):
+    """A `_trim`med polynomial at a number or an array, by Horner's rule."""
+    low, coeffs = poly
+    if not coeffs:
+        return 0.0 * r
+    out = coeffs[-1] + 0.0 * r
+    for c in coeffs[-2::-1]:
+        out = out * r + c
+    return _power(out, r, low)
+
+
+def _table(polys) -> tuple[int, np.ndarray]:
+    """One univariate polynomial per base point as (low, table): table[k, y]
+    is point y's coefficient of degree low + k."""
+    width = max(len(c) for c in polys)
+    table = np.zeros((width, len(polys)))
+    for y, c in enumerate(polys):
+        table[: len(c), y] = c
+    low = 0
+    while low < width - 1 and not table[low].any():
+        low += 1
+    while width > low + 1 and not table[width - 1].any():
+        width -= 1
+    return low, table[low:width]
+
+
+def _at(poly: tuple[int, np.ndarray], ys: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Each entry of r through the polynomial of the base point in ys."""
+    low, table = poly
+    if table.shape[1] == 1:  # one base point: no gathers
+        return _power(_poly((0, table[:, 0].tolist()), r), r, low)
+    out = table[-1][ys]
+    for row in table[-2::-1]:
+        out = out * r + row[ys]
+    return _power(out, r, low)
+
+
+def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Coefficients of the univariate polynomial outer(inner(r))."""
+    out = np.zeros(1)
+    for c in outer[::-1]:
+        out = np.convolve(out, inner)
+        out[0] += c
+    return out
+
+
+def _top(arrays, combine=np.maximum) -> np.ndarray:
+    """Coefficient-wise maximum (or another combination) of univariate
+    polynomials."""
+    out = np.zeros(max(len(a) for a in arrays))
+    for a in arrays:
+        out[: len(a)] = combine(out[: len(a)], a)
+    return out
+
+
+class _CertifiedStop:
+    """A bound on |step-k value - limit| along each row's own orbit, and the
+    first step k* where it falls below tol/10.
+
+    For a row (x, t) let w_j = F^j_x(t), y_j = f^j(x), r_j = |w_j|_inf and
+    s_j = |w_j|_2.  The step-k value is P^{-1}_{y_0} o ... o P^{-1}_{y_{k-1}}
+    applied to H_{y_k}(w_k); the limit is the same chain applied to the
+    true coordinate change at w_k.  m_G is the univariate majorant of a map
+    G (`_majorant`) and Lambda_G its Lipschitz bound (`_lipschitz`).
+
+    - Defect.  R_y = H_{f(y)} o F_y - P_y o H_y has no terms of degree <= N
+      (in float builds those are round-off, which this bound leaves out), so
+      |R_y(w)|_inf <= d_y(|w|_inf), where d_y keeps the degrees above N of
+      m_{H_{f(y)}} o m_{F_y} + m_{P_y} o m_{H_y}.  The row's own defect is
+      d_j = d_{y_j}(r_j).
+    - Backward recursion.  e_j = Lambda_j (d_j + e_{j+1}) bounds the gap
+      between the true change and H at w_j, where Lambda_j is the Lipschitz
+      bound of P^{-1}_{y_j} on a sup-ball that holds the true change,
+      P_{y_j}(H_{y_j}(w_j)) and the value pulled back to j + 1:
+      m_H(r_{j+1}) + d_j + 2 e_{j+1} is enough.  Stopping at step k then
+      costs at most c_k = Lambda_0 ... Lambda_{k-1} e_k, and c_k does not
+      grow with k.
+    - Classes.  The Lipschitz bounds are taken per class, not per row: a
+      row whose r_0 is at most rho = radius 2^(-m/4) has r_j <= R_j and
+      s_j <= S_j, where R_0 = rho, S_0 = sqrt(n) rho, S_{j+1} = min(theta(S_j)
+      S_j, sqrt(n) R_{j+1}) and R_{j+1} = min(m_{F_{y_j}}(R_j), theta(S_j)
+      S_j), theta as in the far tail below, so the ball of class m,
+      m_H(R_{j+1}) + D_j + 2 E_{j+1} with D_j = d_{y_j}(R_j) and E the
+      recursion run on R, holds every ball of its rows.  A row's bound thus
+      depends on its own orbit and class, never on the other rows of a
+      batch; the classes of an evaluator are computed once per config.
+    - Far tail.  Past a step J the recursion is summed in closed form, in
+      the Euclidean norm, where the spectral bands bound the linear parts:
+      |L_y|_2 <= e^(chi_ell + eps) and |L_y^{-1}|_2 <= e^(-chi_1 + eps).  On
+      the 2-ball of radius s = s_J every |w_m|_2, m >= J, is at most
+      s theta^(m - J), theta = max_y |L_{F_y}|_2 + sqrt(n) m_F-tail(s) < 1;
+      the pullbacks are lam-Lipschitz, lam = max_y |L_{P_y^{-1}}|_2 +
+      sqrt(n) Lambda-tail(B) on the ball of radius B = sqrt(n) (m_H(s) +
+      d(s)) + 2s; and every defect is at most sqrt(n) d(s) theta^((N+1)(m-J)),
+      d starting at degree N + 1.  So
+          e_J <= sqrt(n) lam d(s) / (1 - lam theta^(N+1)),
+      provided lam theta^(N+1) < 1, which the criticality gate makes true
+      for small s, and the result is at most s, the room B leaves for it.
+      Elsewhere the tail is infinite.  A class takes J at the first step
+      where its tail at S_J, times its Lipschitz product without e-terms,
+      is below tol/20; its rows take the tail at their own s_J.
+    """
+
+    def __init__(self, ev: "Evaluator") -> None:
+        ext, nf = ev.ext, ev.nf
+        self.n_taylor = nf.n_taylor
+        self.root_n = math.sqrt(ext.dims.total)
+        self.perm = ev._perm
+        h = [_majorant(m) for m in nf.h_taylor]
+        f = [_majorant(m) for m in ext.fibers]
+        p = [_majorant(m) for m in ev.p_maps]
+        lip = [_lipschitz(m) for m in ev.p_inv]
+        defect = []
+        for y in range(ext.base.p):
+            fy = ext.base.image(y)
+            both = _top([_compose(h[fy], f[y]), _compose(p[y], h[y])], np.add)
+            both[: self.n_taylor + 1] = 0.0
+            defect.append(both)
+        self.f, self.h, self.d, self.lip = (_table(c) for c in (f, h, defect, lip))
+        self.defects = [_trim(c) for c in defect]
+        # the far tail, uniform over base points
+        self.d_all = _trim(_top(defect))
+        self.h_all = _trim(_top(h))
+        self.f_rate = max(_norm2(m.linear_matrix()) for m in ext.fibers)
+        self.p_rate = max(_norm2(m.linear_matrix()) for m in ev.p_inv)
+        # nonlinear parts as polynomials in s (resp. B) of one degree less
+        self.f_more = _trim(_top([c[2:] for c in f] + [[0.0]]))
+        self.lip_more = _trim(_top([c[1:] for c in lip] + [[0.0]]))
+        self._classes: dict = {}
+
+    def tail(self, s):
+        """The closed-form bound on e_J at s = s_J, inf where it does not
+        apply."""
+        if not self.d_all[1]:
+            return 0.0 * s
+        d = _poly(self.d_all, s)
+        theta = self.f_rate + self.root_n * s * _poly(self.f_more, s)
+        ball = self.root_n * (_poly(self.h_all, s) + d) + 2.0 * s
+        lam = self.p_rate + self.root_n * ball * _poly(self.lip_more, ball)
+        q = _power(lam, theta, self.n_taylor + 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e = self.root_n * lam * d / (1.0 - q)
+        return np.where((theta < 1.0) & (q < 1.0) & (e <= s), e, np.inf)
+
+    def classes(self, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+        """For every start point x and class m: J, and the Lipschitz
+        products Lambda_0 ... Lambda_j for j < J, indexed [j, x, m]."""
+        key = (cfg.tol, cfg.k_max, cfg.radius)
+        if key in self._classes:
+            return self._classes[key]
+        target = cfg.tol / 10.0
+        ys = [np.repeat(np.arange(len(self.perm))[:, None], CLASSES, axis=1)]
+        r = [cfg.radius * 2.0 ** (-np.arange(CLASSES) / 4.0) + 0.0 * ys[0]]
+        s = [self.root_n * r[0]]
+        # the majorant orbits, eight steps at a time, until every class has
+        # its J: the tail times the Lipschitz product without e-terms.  The
+        # sup radius R is also bounded by the 2-norm radius S, which the
+        # spectral bands contract: |F(w)|_2 <= theta(S) |w|_2 (see `tail`)
+        while True:
+            for _ in range(min(8, cfg.k_max + 1 - len(r))):
+                theta = self.f_rate + self.root_n * s[-1] * _poly(self.f_more, s[-1])
+                r.append(np.minimum(_at(self.f, ys[-1], r[-1]), theta * s[-1]))
+                s.append(np.minimum(theta * s[-1], self.root_n * r[-1]))
+                ys.append(self.perm[ys[-1]])
+            at, radii = np.array(ys), np.array(r)
+            m_h, d = _at(self.h, at, radii), _at(self.d, at, radii)
+            tails = self.tail(np.array(s))
+            with np.errstate(over="ignore", invalid="ignore"):
+                rough = np.cumprod(_at(self.lip, at[:-1], m_h[1:] + d[:-1]), axis=0)
+                passed = rough * tails[1:] < target / 2.0
+            if passed.any(axis=0).all() or len(r) > cfg.k_max:
+                break
+        last = np.where(passed.any(axis=0), passed.argmax(axis=0) + 1, cfg.k_max)
+        # E_j down from E_J = the tail at J, and the products of Lambda_j
+        size = int(last.max()) + 1
+        e = tails[size - 1]
+        lams = np.empty((size - 1,) + e.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(size - 2, -1, -1):
+                lams[j] = _at(self.lip, at[j], m_h[j + 1] + d[j] + 2.0 * e)
+                e = np.where(j < last, lams[j] * (d[j] + e), tails[j])
+            products = np.cumprod(lams, axis=0)
+        products[np.arange(size - 1)[:, None, None] >= last] = 0.0
+        self._classes[key] = got = (last, products.reshape(size - 1, -1))
+        return got
+
+    def certify(self, ev: "Evaluator", xs: np.ndarray, w: np.ndarray, cfg: EvalConfig):
+        """For rows (xs[i], w[i]), sorted by start point: the orbit
+        w_0..w_J, each row's k* (k_max + 1 where none is found), and its
+        bounds c_k, k = 0..J, one array row per step; a row's bound past J
+        is its bound at J."""
+        last, products = self.classes(cfg)
+        r = [_sup(w)]
+        with np.errstate(divide="ignore"):
+            m = np.floor(4.0 * np.log2(cfg.radius / r[0]))
+        m = np.clip(np.nan_to_num(m, posinf=CLASSES), 0, CLASSES - 1).astype(np.intp)
+        m = np.maximum(m - (cfg.radius * 2.0 ** (-m / 4.0) < r[0]), 0)  # rho_m >= r_0
+        cell = xs * CLASSES + m
+        stop = last.ravel()[cell]  # each row's J
+        first = np.flatnonzero(np.diff(xs, prepend=-1))
+        groups = [slice(a, b) for a, b in zip(first.tolist(), [*first[1:].tolist(), len(xs)])]
+        orbit, terms = [w], []
+        ys = [int(xs[g.start]) for g in groups]
+        # c_k = sum_{k <= j < J} Lambda_0 ... Lambda_j d_j + Lambda_0 ... Lambda_{J-1} e_J;
+        # the products are 0 past a class's J
+        for j in range(int(stop.max(initial=1))):
+            if len(groups) == 1:
+                d = _poly(self.defects[ys[0]], r[j])
+                w = ev.ext.fiber(ys[0]).evaluate_batch(w)
+                ys[0] = ev.base.image(ys[0])
+            else:
+                d, w = np.empty(len(xs)), np.empty_like(w)
+                for i, (g, y) in enumerate(zip(groups, ys)):
+                    d[g] = _poly(self.defects[y], r[j][g])
+                    w[g] = ev.ext.fiber(y).evaluate_batch(orbit[j][g])
+                    ys[i] = ev.base.image(y)
+            terms.append(products[j, cell] * d)
+            orbit.append(w)
+            r.append(_sup(w))
+        at_stop = np.concatenate(orbit).take(stop * len(xs) + np.arange(len(xs)), axis=0)
+        bounds = np.empty((len(orbit), len(xs)))
+        target = cfg.tol / 10.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = products[stop - 1, cell] * self.tail(np.sqrt(_sum_sq(at_stop)))
+        c[np.isnan(c)] = np.inf  # 0 * inf: no bound
+        bounds[-1] = c
+        # c_k does not grow with k, so k* counts the steps still above target
+        k_star = (c >= target).astype(np.intp)
+        for k in range(len(terms) - 1, -1, -1):
+            c = bounds[k] = c + terms[k]
+            k_star += c >= target
+        k_star[k_star == len(orbit)] = cfg.k_max + 1
+        return orbit, k_star, bounds
+
+
+def _norm2(matrix) -> float:
+    """Largest singular value of a matrix."""
+    return float(np.linalg.norm(np.array(matrix, dtype=float), 2))
+
+
 class Evaluator:
     """Evaluates the limit coordinate change of one build at fiber points.
 
@@ -246,6 +558,7 @@ class Evaluator:
         self.p_inv = [group_inverse(g, nf.spec).poly for g in nf.p_normal]
         self.p_maps = [g.poly for g in nf.p_normal]
         self._perm = np.array(self.base.perm, dtype=np.intp)
+        self._stop = _CertifiedStop(self)
 
     @property
     def cert_ratio(self) -> float:
@@ -262,9 +575,10 @@ class Evaluator:
         """The limit at every row (xs[i], points[i]), all rows in lockstep.
 
         Rows sharing a start point share the map sequence x, f(x), ...; each
-        row freezes at the first step whose increment falls below tol.  A
-        row still moving after k_max steps raises EvalError, naming the
-        first such row.
+        row freezes at the later of the first step whose increment falls
+        below tol and its k*, the first step whose certified bound is below
+        tol/10 (`_CertifiedStop`).  A row not frozen after k_max steps
+        raises EvalError, naming the first such row.
         """
         cfg = cfg or self.cfg
         xs = np.asarray(xs, dtype=np.intp)
@@ -277,44 +591,80 @@ class Evaluator:
             )
         values = points.copy()
         iterations = np.zeros(len(xs), dtype=np.intp)
+        bounds = np.zeros(len(xs))
+        k_star = np.zeros(len(xs), dtype=np.intp)
         steps: list[np.ndarray] = []
-        stuck: list[tuple[int, int, float]] = []
+        stuck: list[tuple[int, int, float, float]] = []
         h, p_inv = self.nf.h_taylor, self.p_inv
-        for x in sorted(set(xs.tolist())):
-            rows = np.flatnonzero((xs == x) & (size > 0.0))  # the zero point is fixed
-            w = points[rows]
-            prev = h[x].evaluate_batch(w)
-            chain: list[int] = []
-            y = int(x)
+        # the rows away from the fixed zero point, by start point
+        moving = np.flatnonzero(size > 0.0)
+        moving = moving[np.argsort(xs[moving], kind="stable")]
+        if moving.size:
+            orbit, all_k_star, table = self._stop.certify(self, xs[moving], points[moving], cfg)
+            k_star[moving] = np.minimum(all_k_star, cfg.k_max)
+        for x in sorted(set(xs[moving].tolist())):
+            group = np.flatnonzero(xs[moving] == x)  # this start point's rows, in `moving`
+            live = np.arange(len(group))  # the rows still moving, in `group`
+            reached = np.zeros(len(group), dtype=bool)  # an increment fell below tol
+            prev = h[x].evaluate_batch(points[moving[group]])
+            w = points[moving[group]]
+            chain = [int(x)]
             for k in range(1, cfg.k_max + 1):
-                if not rows.size:
+                if not live.size:
                     break
-                w = self.ext.fiber(y).evaluate_batch(w)
-                chain.append(y)
-                y = self.base.image(y)
-                u = h[y].evaluate_batch(w)
-                for idx in reversed(chain):
-                    u = p_inv[idx].evaluate_batch(u)
+                # the certified stop has walked the orbit up to its J
+                if k < len(orbit):
+                    w = orbit[k][group[live]]
+                else:
+                    w = self.ext.fiber(chain[-1]).evaluate_batch(w)
+                chain.append(self.base.image(chain[-1]))
+                u = h[chain[-1]].evaluate_batch(w)
+                for y in reversed(chain[:-1]):
+                    u = p_inv[y].evaluate_batch(u)
+                at = moving[group[live]]
                 delta = _sup(u - prev)
                 if len(steps) < k:
                     steps.append(np.full(len(xs), np.nan))
-                steps[k - 1][rows] = delta
-                done = delta < cfg.tol  # the stopping rule
-                values[rows[done]] = u[done]
-                iterations[rows[done]] = k
-                moving = ~done
-                rows, w, prev = rows[moving], w[moving], u[moving]
+                steps[k - 1][at] = delta
+                reached |= delta < cfg.tol
+                done = reached & (k >= all_k_star[group[live]])  # the stopping rule
+                if done.any():
+                    values[at[done]] = u[done]
+                    iterations[at[done]] = k
+                    bounds[at[done]] = table[min(k, len(table) - 1), group[live[done]]]
+                    kept = ~done
+                    live, reached, u, w = live[kept], reached[kept], u[kept], w[kept]
+                prev = u
             else:
-                if rows.size:
-                    stuck.append((int(rows[0]), int(x), float(steps[-1][rows[0]])))
+                if live.size:
+                    first = group[live[0]]
+                    stuck.append(
+                        (
+                            int(moving[first]),
+                            int(x),
+                            float(steps[-1][moving[first]]),
+                            float(table[-1, first]),
+                        )
+                    )
         if stuck:
-            _, x, last = min(stuck)
+            _, x, last, bound = min(stuck)
             raise EvalError(
                 f"no convergence within {cfg.k_max} iterations at point {x}; "
-                f"last increment {last:.3e} (hypothesis violated or radius too large)"
+                f"last increment {last:.3e}, certified bound {bound:.3e} against tol/10 "
+                f"(hypothesis violated or radius too large)"
             )
         increments = np.array(steps) if steps else np.empty((0, len(xs)))
-        return Limits(values, iterations, increments)
+        return Limits(values, iterations, increments, bounds, k_star)
+
+    def certified_stop(self, x: int, t, cfg: EvalConfig | None = None) -> int | None:
+        """k* of the one row (x, t), as `limits` finds it; None where the
+        bound stays above tol/10 through k_max, 0 at the zero point."""
+        cfg = cfg or self.cfg
+        w = np.asarray(t, dtype=float).reshape(1, self.ext.dims.total)
+        if not w.any():
+            return 0
+        k_star = int(self._stop.certify(self, np.array([x]), w, cfg)[1][0])
+        return k_star if k_star <= cfg.k_max else None
 
     def eval_h(self, x: int, t, cfg: EvalConfig | None = None) -> EvalResult:
         """The limit at one point: `limits` on a batch of one."""
@@ -395,6 +745,8 @@ class Evaluator:
             max_increment_ratio=float(ratios.max()) if ratios.size else None,
             cert_ratio=self.cert_ratio,
             max_one_step_gap=float(gaps.max(initial=0.0)),
+            max_bound=float(lim.bounds[:m].max(initial=0.0)),
+            max_k_star=int(lim.k_star[:m].max(initial=0)),
         )
 
         jets = evaluate_at(self.nf.h_taylor, ray_xs, ray_points)

@@ -24,13 +24,13 @@ from .polymap import (
     FLOAT_TOL,
     RATIONAL,
     SUB_RESONANCE,
+    ExactSum,
     GradedDims,
     GroupElement,
     PolyMap,
     Powers,
     agrees,
     class_basis,
-    compose,
     compose_part,
     from_linear,
     identity_map,
@@ -309,23 +309,60 @@ def _solve_on(systems, keys, index, polys: Sequence[PolyMap], degree) -> list[Po
 def _defects(h, fixed_powers, normal, base: FiniteBase, degree) -> list[PolyMap]:
     """Degree-n part of H_{f(x)} o F_x - P_x o H_x at every base point x,
     with F_x the inner map of `fixed_powers[x]` and P_x = `normal[x]`.  H
-    grows every degree, so P o H is composed on a fresh table."""
-    return [
-        compose_part(h[base.image(x)], fixed_powers[x], degree).sub(
-            compose_part(normal[x], Powers(h[x], degree), degree)
-        )
-        for x in range(base.p)
-    ]
+    grows every degree, so P o H is composed on a fresh table.  In rational
+    mode both sides go into one `ExactSum`, reduced once per coefficient."""
+    out = []
+    for x in range(base.p):
+        outer, powers = h[base.image(x)], Powers(h[x], degree)
+        if outer.mode == RATIONAL:
+            total = ExactSum()
+            total.add_composition(outer, fixed_powers[x], 1, degree)
+            total.add_composition(normal[x], powers, -1, degree)
+            out.append(total.to_map(outer.source, outer.target, degree))
+        else:
+            lhs = compose_part(outer, fixed_powers[x], degree)
+            out.append(lhs.sub(compose_part(normal[x], powers, degree)))
+    return out
 
 
 def _check_conjugacy(h, fixed_powers, normal, base: FiniteBase, cap, what) -> None:
     """H_{f(x)} o F_x = P_x o H_x at every base point, as jets: the left
-    side truncated at the cap of `fixed_powers`, the right at `cap`."""
+    side truncated at the cap of `fixed_powers`, the right at `cap`.
+
+    Both sides are composed afresh from H, P and F.  In rational mode they
+    are summed into one `ExactSum` and zero-tested; only a failed test
+    builds the two maps, for the message."""
     for x in range(base.p):
-        lhs = fixed_powers[x].compose(h[base.image(x)])
-        rhs = compose(normal[x], h[x], cap)
+        outer, powers = h[base.image(x)], Powers(h[x], cap)
+        if outer.mode == RATIONAL:
+            total = ExactSum()
+            total.add_composition(outer, fixed_powers[x])
+            total.add_composition(normal[x], powers, -1)
+            if total.is_zero():
+                continue
+        lhs = fixed_powers[x].compose(outer)
+        rhs = powers.compose(normal[x])
         if not agrees(lhs, rhs, FLOAT_TOL, lhs):
             raise BuildError(f"{what} residual {float(lhs.sub(rhs).max_abs()):.3e}")
+
+
+def _check_residue(defect, lin_powers: Powers, h_next, matrix, h_here, degree) -> None:
+    """defect + h_next o L = matrix . h_here at one degree above d, where no
+    normal-form term is left to absorb a residue; an `ExactSum` zero-test
+    in rational mode."""
+    if defect.mode == RATIONAL:
+        total = ExactSum()
+        total.add_map(defect)
+        total.add_composition(h_next, lin_powers, 1, degree)
+        total.add_left_linear(matrix, h_here, -1)
+        if total.is_zero():
+            return
+    pushed = defect.add(lin_powers.compose(h_next, degree))
+    pulled_back = left_linear(matrix, h_here)
+    # the residue is its own scale, which for tol < 1 is scale 0
+    if not agrees(pushed, pulled_back, FLOAT_TOL):
+        residue = pushed.sub(pulled_back).max_abs()
+        raise BuildError(f"normal form degree-{degree} residue {float(residue):.3e}")
 
 
 # -- the Taylor build ---------------------------------------------------
@@ -547,15 +584,11 @@ def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFo
 
         for x in range(p):
             fx = base.image(x)
-            pushed = rn[x].add(lin_powers[x].compose(hn[fx], degree))
-            pulled_back = left_linear(mats[x], hn[x])
             if degree > d:
-                # the residue is its own scale, which for tol < 1 is scale 0
-                if not agrees(pushed, pulled_back, FLOAT_TOL):
-                    residue = pushed.sub(pulled_back).max_abs()
-                    raise BuildError(f"normal form degree-{degree} residue {float(residue):.3e}")
+                _check_residue(rn[x], lin_powers[x], hn[fx], mats[x], hn[x], degree)
             else:
-                pn = pushed.sub(pulled_back)
+                pushed = rn[x].add(lin_powers[x].compose(hn[fx], degree))
+                pn = pushed.sub(left_linear(mats[x], hn[x]))
                 if not project(pn, spec, _NON_SUB).vanishes(FLOAT_TOL, pn):
                     raise BuildError(
                         f"non-sub-resonance residue in the normal form at degree {degree}"

@@ -14,6 +14,7 @@ serialize identically.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -342,14 +343,14 @@ class PolyMap:
         if not top:
             return np.zeros((len(points), self.target.total))
         cols = points.T
-        table = np.empty((top + 1,) + cols.shape)  # (power, variable, row)
-        table[0] = 1.0
-        table[1] = cols
+        table = np.empty((cols.shape[0], top + 1, cols.shape[1]))  # (variable, power, row)
+        table[:, 0] = 1.0
+        table[:, 1] = cols
         for e in range(2, top + 1):
-            np.multiply(table[e - 1], cols, out=table[e])
-        mono = table[exps[:, 0], 0]
-        for j in range(1, exps.shape[1]):
-            mono *= table[exps[:, j], j]
+            np.multiply(table[:, e - 1], cols, out=table[:, e])
+        mono = table[0].take(exps[0], axis=0)
+        for j in range(1, len(exps)):
+            mono *= table[j].take(exps[j], axis=0)
         return mono.T @ coef
 
     # -- class structure ------------------------------------------------
@@ -361,7 +362,7 @@ class PolyMap:
 
 
 def _compile(pmap: PolyMap) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exponent table (monomial, variable), coefficient matrix (monomial,
+    """Exponent table (variable, monomial), coefficient matrix (monomial,
     target coordinate) and largest single exponent of a float map,
     monomials in sorted order."""
     index: dict[tuple[int, ...], int] = {}
@@ -371,7 +372,7 @@ def _compile(pmap: PolyMap) -> tuple[np.ndarray, np.ndarray, int]:
     coef = np.zeros((len(index), pmap.target.total))
     for (coord, e), value in pmap.coeffs.items():
         coef[index[e], coord] = value
-    return exps, coef, int(exps.max(initial=0))
+    return np.ascontiguousarray(exps.T), coef, int(exps.max(initial=0))
 
 
 def agrees(a: PolyMap, b: PolyMap, tol: float, scale=0.0) -> bool:
@@ -542,6 +543,66 @@ class Powers:
         return PolyMap._trusted(inner.source, outer.target, top, outer.mode, acc)
 
 
+class ExactSum:
+    """Sums of rational terms per (coordinate, exponents) key, numerator
+    and denominator kept apart and never put in lowest terms while terms
+    arrive: each term costs integer products and sums, no gcd.
+
+    The one kernel for rational results that are only compared: a sum is
+    zero exactly when every numerator is zero, and `to_map` reduces each
+    coefficient once.  Terms are added with a sign of +1 or -1.
+    """
+
+    __slots__ = ("acc",)
+
+    def __init__(self) -> None:
+        self.acc: dict = {}
+
+    def _add(self, key, num: int, den: int) -> None:
+        got = self.acc.get(key)
+        if got is None:
+            self.acc[key] = (num, den)
+            return
+        n0, d0 = got
+        if d0 == den:
+            self.acc[key] = (n0 + num, d0)
+        else:
+            self.acc[key] = (n0 * den + num * d0, d0 * den)
+
+    def add_map(self, pmap: PolyMap, sign: int = 1) -> None:
+        for key, v in pmap.coeffs.items():
+            self._add(key, sign * v.numerator, v.denominator)
+
+    def add_composition(self, outer: PolyMap, powers: "Powers", sign: int = 1, n=None) -> None:
+        """outer(G(t)) for the inner map G of `powers`, truncated as
+        `powers.compose(outer, n)` truncates it."""
+        top = powers.cap if n is None else n
+        add = self._add
+        for (coord, exps), value in outer.coeffs.items():
+            if sum(exps) > top:
+                continue
+            a, b = sign * value.numerator, value.denominator
+            for e_out, v in powers.part(exps, n):
+                add((coord, e_out), a * v.numerator, b * v.denominator)
+
+    def add_left_linear(self, matrix, pmap: PolyMap, sign: int = 1) -> None:
+        """matrix . pmap, as `left_linear` forms it."""
+        add = self._add
+        columns = [[(r, m) for r, m in enumerate(col) if m] for col in zip(*matrix)]
+        for (coord, exps), value in pmap.coeffs.items():
+            a, b = sign * value.numerator, value.denominator
+            for r, m in columns[coord]:
+                add((r, exps), a * m.numerator, b * m.denominator)
+
+    def is_zero(self) -> bool:
+        return not any(num for num, _ in self.acc.values())
+
+    def to_map(self, source: GradedDims, target: GradedDims, cap: int) -> PolyMap:
+        """The sum as a rational map, each coefficient reduced once."""
+        coeffs = {key: Fraction(num, den) for key, (num, den) in self.acc.items() if num}
+        return PolyMap._kept(source, target, cap, RATIONAL, coeffs)
+
+
 def compose(outer: PolyMap, inner: PolyMap, cap: int) -> PolyMap:
     """Truncated composition outer(inner(t)) up to total degree cap.
 
@@ -594,14 +655,25 @@ def invert(pmap: PolyMap, cap: int) -> PolyMap:
             continue
         correction = left_linear(a_inv, defect.scale(-1), target=pmap.source)
         inv = inv.add(correction, cap=cap)
-    _assert_identity(compose(pmap, inv, cap), cap, inv, "formal inverse")
+    _assert_identity(pmap, inv, cap, "formal inverse")
     return inv
 
 
-def _assert_identity(composite: PolyMap, cap: int, scale, what: str) -> None:
-    """Raise AssertionError unless the composite is the identity to cap."""
-    ident = identity_map(composite.source, cap, composite.mode)
-    if not agrees(composite, ident, FLOAT_TOL, scale):
+def _assert_identity(outer: PolyMap, inner: PolyMap, cap: int, what: str) -> None:
+    """Raise AssertionError unless outer o inner is the identity to cap.
+
+    In rational mode the composite is summed into an `ExactSum` and only
+    a failed zero-test builds it as a map, for the message."""
+    powers = Powers(inner, cap)
+    ident = identity_map(inner.source, cap, inner.mode)
+    if inner.mode == RATIONAL:
+        total = ExactSum()
+        total.add_composition(outer, powers)
+        total.add_map(ident, -1)
+        if total.is_zero():
+            return
+    composite = powers.compose(outer)
+    if not agrees(composite, ident, FLOAT_TOL, inner):
         residual = composite.sub(ident).max_abs()
         raise AssertionError(f"{what} residual {float(residual):.3e} beyond tolerance")
 
@@ -694,7 +766,7 @@ def group_inverse(g: GroupElement, spec: SpectrumSpec) -> GroupElement:
     """
     d = degree_bound(spec)
     inv = invert(g.poly, d).jet(d)
-    _assert_identity(compose(g.poly, inv, d * d), d * d, inv, "group inverse")
+    _assert_identity(g.poly, inv, d * d, "group inverse")
     return make_group_element(inv, spec, g.tag)
 
 
@@ -714,6 +786,14 @@ def to_records(pmap: PolyMap) -> list[dict]:
     return records
 
 
+def _record_int(value, j: int, field: str) -> int:
+    """An integer field of record j, refused when it is a boolean, a float
+    or anything else that is not an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"record {j}: {field}: expected an integer, got {value!r}")
+    return value
+
+
 def from_records(
     records: Iterable[Mapping],
     source: GradedDims,
@@ -722,13 +802,21 @@ def from_records(
     mode: str,
 ) -> PolyMap:
     coeffs = {}
-    for rec in records:
-        coord = int(rec["coord"])
-        exps = tuple(int(e) for e in rec["exponents"])
+    for j, rec in enumerate(records):
+        coord = _record_int(rec["coord"], j, "coord")
+        exps = tuple(_record_int(e, j, "exponents") for e in rec["exponents"])
         if mode == RATIONAL:
-            value = Fraction(int(rec["num"]), int(rec["den"]))
+            num, den = _record_int(rec["num"], j, "num"), _record_int(rec["den"], j, "den")
+            if not den:
+                raise ValueError(f"record {j}: den: zero denominator")
+            value = Fraction(num, den)
         else:
-            value = float(rec["value"])
+            value = rec["value"]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"record {j}: value: expected a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(f"record {j}: value: not a finite binary64 number")
+            value = float(value)
         key = (coord, exps)
         if key in coeffs:
             raise ValueError(f"duplicate record for {key}")

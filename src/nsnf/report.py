@@ -96,6 +96,8 @@ def eval_json(stats: ResidualStats, fits: list[OrderFit] | None = None) -> dict:
         "max_increment_ratio": stats.max_increment_ratio,
         "cert_ratio": stats.cert_ratio,
         "max_one_step_gap": stats.max_one_step_gap,
+        "max_bound": stats.max_bound,
+        "max_k_star": stats.max_k_star,
     }
     if fits is not None:
         out["order_of_contact"] = [

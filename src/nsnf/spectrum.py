@@ -59,9 +59,11 @@ class SpectrumSpec:
             raise ValueError(f"band half-width must be positive, got {eps}")
         object.__setattr__(self, "chi", chi_t)
         object.__setattr__(self, "epsilon", eps)
-        # (block, block-degree vector) -> TypeClass; not a field, so
-        # equality, hashing and repr ignore it
+        # (block, block-degree vector) -> TypeClass, and the derived
+        # constants once computed; not fields, so equality, hashing and
+        # repr ignore them
         object.__setattr__(self, "_classes", {})
+        object.__setattr__(self, "_constants", None)
 
     @property
     def ell(self) -> int:
@@ -179,6 +181,13 @@ class SpectralConstants:
 
 
 def spectral_constants(spec: SpectrumSpec) -> SpectralConstants:
+    """The derived constants, computed once per spectrum and kept on it."""
+    if spec._constants is None:
+        object.__setattr__(spec, "_constants", _derive_constants(spec))
+    return spec._constants
+
+
+def _derive_constants(spec: SpectrumSpec) -> SpectralConstants:
     d = degree_bound(spec)
     chi_fast, chi_slow = spec.chi[0], spec.chi[-1]
     # The pure slow-block type of degree d+1 targeting the fastest block

@@ -226,16 +226,20 @@ def pointwise_limit(ev, x, t, cfg):
     `PolyMap.evaluate` of every map along the orbit, the whole P^{-1} chain
     re-applied at every step.
 
-    Returns (value, iterations, increments); value is None when the
-    increments have not fallen below cfg.tol within cfg.k_max steps.
+    The point stops at the later of the first step whose increment falls
+    below cfg.tol and its certified step k* (`Evaluator.certified_stop`).
+    Returns (value, iterations, increments); value is None when it has not
+    stopped within cfg.k_max steps.
     """
     t = tuple(float(c) for c in t)
     if all(c == 0.0 for c in t):
         return t, 0, ()
+    k_star = ev.certified_stop(x, t, cfg)
     w, y = t, x
     chain = []
     prev = ev.nf.h_taylor[x].evaluate(w)
     increments = []
+    reached = False
     for k in range(1, cfg.k_max + 1):
         w = ev.ext.fiber(y).evaluate(w)
         chain.append(y)
@@ -245,7 +249,8 @@ def pointwise_limit(ev, x, t, cfg):
             u = ev.p_inv[idx].evaluate(u)
         delta = max(abs(a - b) for a, b in zip(u, prev))
         increments.append(delta)
-        if delta < cfg.tol:
+        reached = reached or delta < cfg.tol
+        if reached and k_star is not None and k >= k_star:
             return tuple(u), k, tuple(increments)
         prev = u
     return None, cfg.k_max, tuple(increments)
