@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polymap import FLOAT, GradedDims, PolyMap, compose, identity_map
+from .polymap import GradedDims, PolyMap, compose, identity_map
 from .spectrum import (
     CriticalityCheck,
     SpectralConstants,
@@ -94,10 +94,9 @@ class Extension:
         modes = {pm.mode for pm in fibers}
         if len(modes) != 1:
             raise ValueError(f"fiber maps mix scalar modes: {modes}")
-        mode = mode or modes.pop()
+        if mode and mode not in modes:
+            raise ValueError("fiber scalar mode mismatch")
         for x, pm in enumerate(fibers):
-            if pm.mode != mode:
-                raise ValueError("fiber scalar mode mismatch")
             if pm.source.dims != dims.dims or pm.target.dims != dims.dims:
                 raise ValueError(f"fiber {x} does not match the declared grading {dims.dims}")
         if not sigma > 0:
@@ -109,22 +108,16 @@ class Extension:
         self.fibers = tuple(fibers)
         self.sigma = float(sigma)
         self.xi = float(xi)
-        self.mode = mode
+        self.mode = modes.pop()  # the fibers' policy, also where `mode` is a name
 
     def fiber(self, x: int) -> PolyMap:
         return self.fibers[x]
 
     def to_float(self) -> "Extension":
-        if self.mode == FLOAT:
+        if not self.mode.exact:
             return self
-        return Extension(
-            self.base,
-            self.dims,
-            [pm.to_float() for pm in self.fibers],
-            self.sigma,
-            self.xi,
-            mode=FLOAT,
-        )
+        fibers = [pm.to_float() for pm in self.fibers]
+        return Extension(self.base, self.dims, fibers, self.sigma, self.xi)
 
 
 def orbit_compose(ext: Extension, x: int, k: int, cap: int) -> PolyMap:

@@ -28,7 +28,7 @@ from .normal_form import (
     resonance_reduce,
     seeded_lift,
 )
-from .polymap import RATIONAL, identity_map
+from .polymap import identity_map
 from .report import (
     assemble_report,
     build_json,
@@ -249,7 +249,7 @@ def _stage_verify(
                 failures.append("linearization")
 
         if inst.commuting is not None:
-            samples = 0 if inst.mode == RATIONAL else min(opts.samples, 50)
+            samples = 0 if inst.mode.exact else min(opts.samples, 50)
             cz = check_centralizer(
                 nf,
                 inst.commuting,

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .base import Extension, FiniteBase
 from .evaluator import EvalConfig
 from .normal_form import LiftStrategy, complement_lift, seeded_lift
-from .polymap import FLOAT, RATIONAL, GradedDims, PolyMap, to_records
+from .polymap import GradedDims, PolyMap, record_ratio, record_term, to_records
+from .scalars import policy
 from .spectrum import SpectrumSpec
 
 
@@ -42,19 +42,8 @@ def parse_fraction(obj, where: str) -> Fraction:
             _fail(where, f"unexpected keys {sorted(extra)} in rational")
         if "num" not in obj:
             _fail(where, "rational object needs a 'num' field")
-        return _ratio(obj["num"], obj.get("den", 1), where)
+        return record_ratio(obj, f"{where}.", InstanceError)
     _fail(where, f"expected a rational (int or num/den object), got {type(obj).__name__}")
-
-
-def _ratio(num, den, where: str) -> Fraction:
-    """num/den from the integer fields `where`.num and `where`.den."""
-    if not _is_int(num):
-        _fail(f"{where}.num", f"expected an integer, got {num!r}")
-    if not _is_int(den):
-        _fail(f"{where}.den", f"expected an integer, got {den!r}")
-    if den == 0:
-        _fail(f"{where}.den", "zero denominator")
-    return Fraction(num, den)
 
 
 def _is_int(value) -> bool:
@@ -139,19 +128,9 @@ class Instance:
     def with_mode(self, mode: str) -> "Instance":
         if mode == self.mode:
             return self
-        if mode == FLOAT:
-            return Instance(
-                spec=self.spec,
-                ext=self.ext.to_float(),
-                n_taylor=self.n_taylor,
-                alpha=self.alpha,
-                commuting=self.commuting.to_float() if self.commuting else None,
-                commuting_n=self.commuting_n,
-                commuting_alpha=self.commuting_alpha,
-                options=self.options,
-                digest=self.digest,
-                raw=self.raw,
-            )
+        if not policy(mode).exact:
+            commuting = self.commuting.to_float() if self.commuting else None
+            return replace(self, ext=self.ext.to_float(), commuting=commuting)
         raise InstanceError(
             "mode: cannot convert a float instance to exact rationals"
         )
@@ -166,31 +145,11 @@ def _parse_poly_records(records, dims: GradedDims, mode: str, where: str) -> Pol
         spot = f"{where}[{j}]"
         if not isinstance(rec, dict):
             _fail(spot, "coefficient record must be an object")
-        if "coord" not in rec or "exponents" not in rec:
-            _fail(spot, "record needs 'coord' and 'exponents'")
-        coord = rec["coord"]
-        if not _is_int(coord):
-            _fail(f"{spot}.coord", f"expected an integer, got {coord!r}")
-        exps = tuple(_int_list(rec["exponents"], f"{spot}.exponents"))
-        cap = max(cap, sum(exps))
-        if mode == RATIONAL:
-            if "value" in rec:
-                _fail(spot, "rational instances use num/den, not 'value'")
-            value = _ratio(rec.get("num", 0), rec.get("den", 1), spot)
-        else:
-            if "num" in rec or "den" in rec:
-                _fail(spot, "float instances use 'value', not num/den")
-            if "value" not in rec:
-                _fail(spot, "record needs 'value'")
-            value = rec["value"]
-            if not _is_number(value):
-                _fail(f"{spot}.value", f"expected a number, got {type(value).__name__}")
-            if not abs(value) <= sys.float_info.max:
-                _fail(f"{spot}.value", "not a finite binary64 number")
-            value = float(value)
-        if (coord, exps) in coeffs:
-            _fail(spot, f"duplicate record for {(coord, exps)}")
-        coeffs[(coord, exps)] = value
+        key, value = record_term(rec, mode, f"{spot}.", InstanceError)
+        if key in coeffs:
+            _fail(spot, f"duplicate record for {key}")
+        coeffs[key] = value
+        cap = max(cap, sum(key[1]))
     try:
         return PolyMap(dims, dims, cap, mode, coeffs)
     except ValueError as err:
@@ -228,9 +187,10 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
         if key not in raw:
             _fail("$", f"missing top-level field '{key}'")
 
-    mode = raw["mode"]
-    if mode not in (RATIONAL, FLOAT):
-        _fail("mode", f"expected 'rational' or 'float', got {mode!r}")
+    try:
+        mode = policy(raw["mode"])
+    except ValueError:
+        _fail("mode", f"expected 'rational' or 'float', got {raw['mode']!r}")
 
     spectrum = raw["spectrum"]
     if not isinstance(spectrum, dict) or "chi" not in spectrum or "epsilon" not in spectrum:

@@ -1,17 +1,21 @@
 """Small dense linear algebra over exact rationals or binary64.
 
-Gauss-Jordan elimination with partial pivoting; exact mode pivots on the
-first nonzero entry so no rounding is introduced.  One elimination is
-recorded per matrix and replayed on every right-hand side.  Matrices are
-lists of row lists; the elimination itself works on sparse rows, since
-cycle systems are mostly zeros.  Everything here is small (cycle solves
-and block inversions), so no external linear algebra is pulled in and
-both scalar modes share one code path.
+Each matrix gets one scalar policy (`scalars.of_values`): exact when any
+entry is a Fraction, binary64 otherwise.  Gauss-Jordan elimination pivots
+by the policy's rule, on the first nonzero entry when exact so no rounding
+is introduced.  One elimination is recorded per matrix and replayed on
+every right-hand side.  Matrices are lists of row lists; the elimination
+itself works on sparse rows, since cycle systems are mostly zeros.
+Everything here is small (cycle solves and block inversions), so no
+external linear algebra is pulled in and both modes share one code path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+
+from .scalars import of_values
 
 
 class SingularMatrix(ArithmeticError):
@@ -19,19 +23,15 @@ class SingularMatrix(ArithmeticError):
 
 
 def mat_vec(a, v):
+    zero = of_values(chain.from_iterable(a)).zero
     out = []
     for row in a:
-        acc = _zero_like(row, v)
+        acc = zero
         for r, x in zip(row, v):
             if r:
                 acc = acc + r * x
         out.append(acc)
     return out
-
-
-def _zero_like(row, v):
-    probe = row[0] if row else (v[0] if v else 0)
-    return probe * 0
 
 
 def mat_mul(a, b):
@@ -40,7 +40,7 @@ def mat_mul(a, b):
         return []
     n_inner = len(b)
     n_cols = len(b[0]) if b else 0
-    zero = _zero_like(a[0], [])
+    zero = of_values(chain.from_iterable(a)).zero
     out = []
     for row in a:
         acc = [zero] * n_cols
@@ -76,14 +76,16 @@ class Elimination:
     there.  Entries that become exactly zero are dropped.
     """
 
-    __slots__ = ("steps", "pivots")
+    __slots__ = ("scalars", "steps", "pivots")
 
     def __init__(self, a):
         n = len(a)
         if any(len(row) != n for row in a):
             raise ValueError("shape mismatch in linear solve")
-        zero = Fraction(0) if n > 0 and isinstance(a[0][0], Fraction) else 0.0
-        self._eliminate([{j: v for j, v in enumerate(row) if v} for row in a], zero)
+        # one policy per matrix, its entries coerced to it
+        scalars = of_values(chain.from_iterable(a))
+        rows = [{j: scalars.coerce(v) for j, v in enumerate(row) if v} for row in a]
+        self._eliminate(rows, scalars)
 
     @classmethod
     def of_rows(cls, rows, zero) -> "Elimination":
@@ -91,12 +93,12 @@ class Elimination:
         rows[i] of its nonzero entries {column: value}; `zero` is the
         scalar mode's zero.  The rows are consumed."""
         self = object.__new__(cls)
-        self._eliminate(rows, zero)
+        self._eliminate(rows, of_values((zero,)))
         return self
 
-    def _eliminate(self, work, zero):
+    def _eliminate(self, work, scalars):
         n = len(work)
-        exact = isinstance(zero, Fraction)
+        self.scalars, zero = scalars, scalars.zero
         # rows with a nonzero entry in each column
         in_col = [set() for _ in range(n)]
         for r, row in enumerate(work):
@@ -104,16 +106,7 @@ class Elimination:
                 in_col[j].add(r)
         steps = []
         for col in range(n):
-            pivot_row = None
-            if exact:
-                pivot_row = min((r for r in in_col[col] if r >= col), default=None)
-            else:
-                best = 0.0
-                for r in sorted(r for r in in_col[col] if r >= col):
-                    mag = abs(work[r][col])
-                    if mag > best:
-                        best = mag
-                        pivot_row = r
+            pivot_row = scalars.pivot((r for r in in_col[col] if r >= col), work, col)
             if pivot_row is None:
                 raise SingularMatrix(f"singular system at column {col}")
             if pivot_row != col:
@@ -185,8 +178,7 @@ def solve_columns(a, b):
 
 
 def invert(a):
-    n = len(a)
-    if n == 0:
+    if not a:
         return []
-    one = Fraction(1) if isinstance(a[0][0], Fraction) else 1.0
-    return Elimination(a).solve_columns(identity(n, one))
+    elim = Elimination(a)
+    return elim.solve_columns(identity(len(a), elim.scalars.one))

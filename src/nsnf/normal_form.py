@@ -13,16 +13,13 @@ strips strict sub-resonance terms from the normal form afterwards.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linsolve
 from .base import Extension, FiniteBase, ValidationReport, validate_extension
 from .polymap import (
-    FLOAT,
-    FLOAT_TOL,
-    RATIONAL,
     SUB_RESONANCE,
     ExactSum,
     GradedDims,
@@ -37,7 +34,6 @@ from .polymap import (
     left_linear,
     make_group_element,
     project,
-    vanishing,
     zero_map,
 )
 from .spectrum import (
@@ -139,7 +135,7 @@ def _lift_table(strategy: LiftStrategy, spec, dims, mode, p, d, classes):
             for key in basis:
                 value = Fraction(rng.randint(-8, 8), 8) * strategy.amplitude
                 if value:
-                    coeffs[key] = value if mode == RATIONAL else float(value)
+                    coeffs[key] = mode.from_fraction(value)
             if coeffs:
                 offset = PolyMap(dims, dims, degree, mode, coeffs)
                 section = offset if section is None else section.add(offset)
@@ -254,14 +250,14 @@ def _solve_cycles(systems, rhs):
     return out
 
 
-def _operator_rows(keys, index, pre, powers: Powers, spec, guard, tol):
+def _operator_rows(keys, index, pre, powers: Powers, spec, guard):
     """Sparse rows of the matrix of R -> pre . R o post on span(keys), one
     column per key: row i lists its nonzero (column, entry) pairs by column.
 
     `pre` is a matrix and `powers` the power table of the linear map post.
-    Image terms outside `keys` whose class lies in `guard` must vanish (to
-    tol, relative to the size of the image): the operator has to preserve
-    the solve subspace.
+    Image terms outside `keys` whose class lies in `guard` must vanish (by
+    the mode's test, relative to the size of the image): the operator has
+    to preserve the solve subspace.
     """
     dims, mode = powers.inner.source, powers.inner.mode
     # the nonzero (row, entry) pairs of each column of pre
@@ -282,7 +278,7 @@ def _operator_rows(keys, index, pre, powers: Powers, spec, guard, tol):
                 rows[pos].append((col, w))
             elif spec.type_class(dims.block_of[k[0]], dims.block_degrees(k[1])) in guard:
                 leaked.append(w)
-        if leaked and not vanishing(leaked, mode, tol, max(map(abs, img.values()))):
+        if leaked and not mode.vanishes(leaked, max(map(abs, img.values()))):
             raise BuildError("conjugation left its solve subspace")
     return rows
 
@@ -291,10 +287,9 @@ def _solve_on(systems, keys, index, polys: Sequence[PolyMap], degree) -> list[Po
     """Solve every cycle system with the right-hand side at base point x
     read off `polys[x]` on span(keys); the solutions as degree-n maps."""
     dims, mode = polys[0].source, polys[0].mode
-    zero = Fraction(0) if mode == RATIONAL else 0.0
     rhs = []
     for poly in polys:
-        vec = [zero] * len(keys)
+        vec = [mode.zero] * len(keys)
         for key, value in poly.coeffs.items():
             pos = index.get(key)
             if pos is not None:
@@ -314,7 +309,7 @@ def _defects(h, fixed_powers, normal, base: FiniteBase, degree) -> list[PolyMap]
     out = []
     for x in range(base.p):
         outer, powers = h[base.image(x)], Powers(h[x], degree)
-        if outer.mode == RATIONAL:
+        if outer.mode.exact:
             total = ExactSum()
             total.add_composition(outer, fixed_powers[x], 1, degree)
             total.add_composition(normal[x], powers, -1, degree)
@@ -334,7 +329,7 @@ def _check_conjugacy(h, fixed_powers, normal, base: FiniteBase, cap, what) -> No
     builds the two maps, for the message."""
     for x in range(base.p):
         outer, powers = h[base.image(x)], Powers(h[x], cap)
-        if outer.mode == RATIONAL:
+        if outer.mode.exact:
             total = ExactSum()
             total.add_composition(outer, fixed_powers[x])
             total.add_composition(normal[x], powers, -1)
@@ -342,7 +337,7 @@ def _check_conjugacy(h, fixed_powers, normal, base: FiniteBase, cap, what) -> No
                 continue
         lhs = fixed_powers[x].compose(outer)
         rhs = powers.compose(normal[x])
-        if not agrees(lhs, rhs, FLOAT_TOL, lhs):
+        if not agrees(lhs, rhs, scale=lhs):
             raise BuildError(f"{what} residual {float(lhs.sub(rhs).max_abs()):.3e}")
 
 
@@ -350,7 +345,7 @@ def _check_residue(defect, lin_powers: Powers, h_next, matrix, h_here, degree) -
     """defect + h_next o L = matrix . h_here at one degree above d, where no
     normal-form term is left to absorb a residue; an `ExactSum` zero-test
     in rational mode."""
-    if defect.mode == RATIONAL:
+    if defect.mode.exact:
         total = ExactSum()
         total.add_map(defect)
         total.add_composition(h_next, lin_powers, 1, degree)
@@ -360,7 +355,7 @@ def _check_residue(defect, lin_powers: Powers, h_next, matrix, h_here, degree) -
     pushed = defect.add(lin_powers.compose(h_next, degree))
     pulled_back = left_linear(matrix, h_here)
     # the residue is its own scale, which for tol < 1 is scale 0
-    if not agrees(pushed, pulled_back, FLOAT_TOL):
+    if not agrees(pushed, pulled_back):
         residue = pushed.sub(pulled_back).max_abs()
         raise BuildError(f"normal form degree-{degree} residue {float(residue):.3e}")
 
@@ -415,23 +410,16 @@ class NormalFormResult:
 
     def to_float(self) -> "NormalFormResult":
         """The result in binary64; the rational plan is not carried over."""
-        if self.ext.mode == FLOAT:
+        if not self.ext.mode.exact:
             return self
-        return NormalFormResult(
+        return replace(
+            self,
             ext=self.ext.to_float(),
-            spec=self.spec,
-            n_taylor=self.n_taylor,
-            alpha=self.alpha,
             h_taylor=tuple(h.to_float() for h in self.h_taylor),
-            p_normal=tuple(
-                GroupElement(poly=g.poly.to_float(), tag=g.tag) for g in self.p_normal
-            ),
-            lift_kind=self.lift_kind,
-            lift_seed=self.lift_seed,
+            p_normal=tuple(replace(g, poly=g.poly.to_float()) for g in self.p_normal),
             lift_sections={k: v.to_float() for k, v in self.lift_sections.items()},
             certified_exponents=dict(self.certified_exponents),
-            certified=self.certified,
-            validation=self.validation,
+            plan=None,
         )
 
 
@@ -508,7 +496,6 @@ def plan_taylor(
     dims, base, p = ext.dims, ext.base, ext.base.p
     mats, invs, lin_polys, _ = _linear_data(ext.fibers, "fiber linear part")
     diagonal = _all_block_diagonal(mats, dims)
-    one = Fraction(1) if ext.mode == RATIONAL else 1.0
 
     # A linear map's images are homogeneous, so one table per point at cap
     # N serves every degree's operator rows and every solve's hn o L.
@@ -533,13 +520,13 @@ def plan_taylor(
             keys.sort(key=lambda k: (dims.block_of[k[0]], dims.block_degrees(k[1])))
         index = {k: i for i, k in enumerate(keys)}
         ops = [
-            _operator_rows(keys, index, invs[x], lin_powers[x], spec, _NON_SUB, 0)
+            _operator_rows(keys, index, invs[x], lin_powers[x], spec, _NON_SUB)
             for x in range(p)
         ]
         systems[degree] = (
             keys,
             index,
-            _cycle_systems(base, ops, one, True, f"cycle solve at degree {degree}"),
+            _cycle_systems(base, ops, ext.mode.one, True, f"cycle solve at degree {degree}"),
         )
 
     return TaylorPlan(
@@ -589,7 +576,7 @@ def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFo
             else:
                 pushed = rn[x].add(lin_powers[x].compose(hn[fx], degree))
                 pn = pushed.sub(left_linear(mats[x], hn[x]))
-                if not project(pn, spec, _NON_SUB).vanishes(FLOAT_TOL, pn):
+                if not project(pn, spec, _NON_SUB).vanishes(scale=pn):
                     raise BuildError(
                         f"non-sub-resonance residue in the normal form at degree {degree}"
                     )
@@ -698,7 +685,6 @@ def reduce_family(
     dims = p_elems[0].dims
     mode = p_elems[0].poly.mode
     d = degree_bound(spec)
-    one = Fraction(1) if mode == RATIONAL else 1.0
     res_only = frozenset({TypeClass.RESONANCE})
 
     a_mats, _, a_polys, a_inv_polys = _linear_data(
@@ -717,12 +703,10 @@ def reduce_family(
 
     def backward_systems(keys, index, degree):
         ops = [
-            _operator_rows(
-                keys, index, d_mats[x], a_inv_powers[x], spec, _LEAVES_STRICT, FLOAT_TOL
-            )
+            _operator_rows(keys, index, d_mats[x], a_inv_powers[x], spec, _LEAVES_STRICT)
             for x in range(base.p)
         ]
-        return _cycle_systems(base, ops, one, False, f"reduction solve at degree {degree}")
+        return _cycle_systems(base, ops, mode.one, False, f"reduction solve at degree {degree}")
 
     # Degree 1: strip the strict flag-triangular part of the linear term.
     ss1 = class_basis(spec, dims, 1, {TypeClass.STRICT_SUB})
@@ -752,7 +736,7 @@ def reduce_family(
 
         k_parts = _defects(h_prime, p_powers, p_res, base, degree)
         for k in k_parts:
-            if not project(k, spec, _NON_SUB).vanishes(FLOAT_TOL, k):
+            if not project(k, spec, _NON_SUB).vanishes(scale=k):
                 raise BuildError(f"unexpected non-sub-resonance terms: defect at degree {degree}")
         zero = zero_map(dims, dims, degree, mode)
         deltas = [sections.get((x, degree), zero) for x in range(base.p)]
@@ -786,7 +770,7 @@ def reduce_family(
             )
             p_n = compose_part(v, g1_inv_powers[x], degree)
             off = project(p_n, spec, {TypeClass.STRICT_SUB, TypeClass.NON_SUB})
-            if not off.vanishes(FLOAT_TOL, p_n):
+            if not off.vanishes(scale=p_n):
                 raise BuildError(f"resonance form keeps a strict term at degree {degree}")
             # drops float dust below tolerance; keeps all of p_n in rational mode
             p_res[x] = p_res[x].add(project(p_n, spec, res_only), cap=d)

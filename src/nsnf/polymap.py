@@ -3,9 +3,10 @@ composition, formal inversion and resonance-class projections.
 
 A PolyMap sends a block-graded source space to a block-graded target space
 and is stored as {(target coordinate, exponent tuple): coefficient} with no
-constant terms, so the zero section is always preserved.  Coefficients are
-either all exact rationals or all binary64; the two modes never mix.  Every
-operation that can grow degree takes an explicit truncation cap.
+constant terms, so the zero section is always preserved.  `mode` is the
+map's scalar policy (`scalars`): coefficients are all exact rationals or
+all binary64, and the modes never mix.  Every operation that can grow
+degree takes an explicit truncation cap.
 
 Monomials are ordered graded-lexicographically (total degree first, then the
 exponent tuple) and serialization follows that order, so equal maps always
@@ -25,6 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import linsolve
+from .scalars import FLOAT, FLOAT_TOL, RATIONAL, policy  # noqa: F401 (FLOAT_TOL re-exported)
 from .spectrum import (
     SUB_RESONANCE,
     HomogeneousType,
@@ -32,13 +34,6 @@ from .spectrum import (
     TypeClass,
     degree_bound,
 )
-
-RATIONAL = "rational"
-FLOAT = "float"
-# The one tolerance of every binary64 residue and class check; rational
-# mode checks exactly.
-FLOAT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GradedDims:
@@ -96,31 +91,6 @@ class GradedDims:
                     yield r, c, matrix[r][c]
 
 
-def vanishing(values: Iterable, mode: str, tol: float, scale=0.0) -> bool:
-    """The one vanishing test for residues: every value exactly zero in
-    rational mode, the largest magnitude at most tol * max(1, scale) in
-    float mode."""
-    if mode == RATIONAL:
-        return not any(values)
-    return max((abs(v) for v in values), default=0.0) <= tol * max(1.0, scale)
-
-
-def _check_scalar(value, mode):
-    if mode == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"rational mode got {value!r}")
-    if mode == FLOAT:
-        if isinstance(value, float):
-            return value
-        if isinstance(value, int):
-            return float(value)
-        raise TypeError(f"float mode got {value!r}")
-    raise ValueError(f"unknown scalar mode {mode!r}")
-
-
 def monomial_key(coord: int, exponents: tuple[int, ...]):
     return (sum(exponents), exponents, coord)
 
@@ -145,8 +115,7 @@ class PolyMap:
     ) -> None:
         if cap < 1:
             raise ValueError(f"degree cap must be >= 1, got {cap}")
-        if mode not in (RATIONAL, FLOAT):
-            raise ValueError(f"unknown scalar mode {mode!r}")
+        mode = policy(mode)
         clean = {}
         for (coord, exps), value in coeffs.items():
             exps = tuple(int(e) for e in exps)
@@ -163,7 +132,7 @@ class PolyMap:
                 raise ValueError(f"monomial degree {deg} exceeds cap {cap}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            value = _check_scalar(value, mode)
+            value = mode.coerce(value)
             if value:
                 clean[(coord, exps)] = value
         self.source = source
@@ -241,9 +210,9 @@ class PolyMap:
         )
 
     def to_float(self) -> "PolyMap":
-        if self.mode == FLOAT:
+        if not self.mode.exact:
             return self
-        return self.map_coeffs(float, mode=FLOAT)
+        return self.map_coeffs(FLOAT.from_fraction, mode=FLOAT)
 
     def add(self, other: "PolyMap", cap: int | None = None) -> "PolyMap":
         self._check_compatible(other)
@@ -257,18 +226,12 @@ class PolyMap:
         return PolyMap._trusted(self.source, self.target, cap, self.mode, out)
 
     def sub(self, other: "PolyMap", cap: int | None = None) -> "PolyMap":
-        self._check_compatible(other)
-        cap = cap if cap is not None else max(self.cap, other.cap)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = out.get(k)
-            out[k] = -v if w is None else w - v
-        if max(self.cap, other.cap) > cap:
-            out = {k: v for k, v in out.items() if sum(k[1]) <= cap}
-        return PolyMap._trusted(self.source, self.target, cap, self.mode, out)
+        # w + (-v) is w - v, bit for bit in binary64 too
+        neg = {k: -v for k, v in other.coeffs.items()}
+        return self.add(PolyMap._kept(other.source, other.target, other.cap, other.mode, neg), cap)
 
     def scale(self, factor) -> "PolyMap":
-        factor = _check_scalar(factor, self.mode)
+        factor = self.mode.coerce(factor)
         return self.map_coeffs(lambda v: v * factor)
 
     def _check_compatible(self, other: "PolyMap") -> None:
@@ -290,19 +253,20 @@ class PolyMap:
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
-    def vanishes(self, tol: float, scale=0.0) -> bool:
-        """No terms in rational mode; max_abs() <= tol * max(1, scale) in
-        float mode.  `scale` is a number or a reference map whose max_abs()
-        is the scale; that is computed only in float mode."""
+    def vanishes(self, tol=None, scale=0.0) -> bool:
+        """The coefficients pass the mode's vanishing test (`Scalars.vanishes`),
+        at its own tolerance unless tol is given.  `scale` is a number or a
+        reference map whose max_abs() is the scale; exact modes read
+        neither, so it is not computed for them."""
         if isinstance(scale, PolyMap):
-            scale = scale.max_abs() if self.mode == FLOAT else 0.0
-        return vanishing(self.coeffs.values(), self.mode, tol, scale)
+            scale = 0.0 if self.mode.exact else scale.max_abs()
+        return self.mode.vanishes(self.coeffs.values(), scale, tol)
 
     # -- linear part ----------------------------------------------------
 
     def linear_matrix(self):
         """Row-major matrix of the degree-1 part."""
-        zero = Fraction(0) if self.mode == RATIONAL else 0.0
+        zero = self.mode.zero
         n_s, n_t = self.source.total, self.target.total
         rows = [[zero] * n_s for _ in range(n_t)]
         for (coord, exps), value in self.coeffs.items():
@@ -317,8 +281,7 @@ class PolyMap:
         """Value at a point; exact when both map and point are rational."""
         if len(point) != self.source.total:
             raise ValueError("point dimension mismatch")
-        zero = Fraction(0) if self.mode == RATIONAL else 0.0
-        out = [zero] * self.target.total
+        out = [self.mode.zero] * self.target.total
         for (coord, exps), value in self._sorted_terms():
             term = value
             for x, e in zip(point, exps):
@@ -332,7 +295,7 @@ class PolyMap:
         (m, target) array; float maps only.  Equal to `evaluate` row by row
         up to round-off: powers are repeated products and each coordinate
         is one matrix product over the monomials."""
-        if self.mode != FLOAT:
+        if self.mode.exact:
             raise ValueError("batch evaluation needs a float map")
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.source.total:
@@ -375,13 +338,13 @@ def _compile(pmap: PolyMap) -> tuple[np.ndarray, np.ndarray, int]:
     return np.ascontiguousarray(exps.T), coef, int(exps.max(initial=0))
 
 
-def agrees(a: PolyMap, b: PolyMap, tol: float, scale=0.0) -> bool:
+def agrees(a: PolyMap, b: PolyMap, tol=None, scale=0.0) -> bool:
     """a.sub(b).vanishes(tol, scale), the one equality test for maps.
 
-    Rational coefficients are canonical fractions with the zeros dropped,
-    so there the difference vanishes exactly when the term dicts are equal
-    and nothing is subtracted."""
-    if a.mode == RATIONAL:
+    Exact coefficients are canonical fractions with the zeros dropped, so
+    there the difference vanishes exactly when the term dicts are equal and
+    nothing is subtracted."""
+    if a.mode.exact:
         a._check_compatible(b)
         return a.coeffs == b.coeffs
     return a.sub(b).vanishes(tol, scale)
@@ -392,12 +355,8 @@ def zero_map(source: GradedDims, target: GradedDims, cap: int, mode: str) -> Pol
 
 
 def identity_map(dims: GradedDims, cap: int, mode: str) -> PolyMap:
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    coeffs = {}
-    for c in range(dims.total):
-        exps = tuple(1 if j == c else 0 for j in range(dims.total))
-        coeffs[(c, exps)] = one
-    return PolyMap(dims, dims, cap, mode, coeffs)
+    # integer entries, coerced to the mode's one by the constructor
+    return from_linear(linsolve.identity(dims.total, 1), dims, dims, cap, mode)
 
 
 def from_linear(matrix, source: GradedDims, target: GradedDims, cap: int, mode: str) -> PolyMap:
@@ -666,14 +625,14 @@ def _assert_identity(outer: PolyMap, inner: PolyMap, cap: int, what: str) -> Non
     a failed zero-test builds it as a map, for the message."""
     powers = Powers(inner, cap)
     ident = identity_map(inner.source, cap, inner.mode)
-    if inner.mode == RATIONAL:
+    if inner.mode.exact:
         total = ExactSum()
         total.add_composition(outer, powers)
         total.add_map(ident, -1)
         if total.is_zero():
             return
     composite = powers.compose(outer)
-    if not agrees(composite, ident, FLOAT_TOL, inner):
+    if not agrees(composite, ident, scale=inner):
         residual = composite.sub(ident).max_abs()
         raise AssertionError(f"{what} residual {float(residual):.3e} beyond tolerance")
 
@@ -740,7 +699,8 @@ class GroupElement:
 
 def make_group_element(poly: PolyMap, spec: SpectrumSpec, tag: str) -> GroupElement:
     """`poly` as a member of the tagged group.  Off-class coefficients must
-    be exactly zero in rational mode and at most FLOAT_TOL in float mode."""
+    pass the mode's vanishing test at scale 0: exactly zero in rational
+    mode, at most the float tolerance in float mode."""
     if tag not in GROUP_TAGS:
         raise ValueError(f"unknown group tag {tag!r}")
     if poly.source.dims != poly.target.dims:
@@ -749,7 +709,7 @@ def make_group_element(poly: PolyMap, spec: SpectrumSpec, tag: str) -> GroupElem
     if poly.degree() > d:
         raise ValueError(f"degree {poly.degree()} exceeds the bound {d}")
     off = max_off_class(poly, spec, GROUP_TAGS[tag])
-    if off > (0 if poly.mode == RATIONAL else FLOAT_TOL):
+    if not poly.mode.vanishes((off,)):
         raise ValueError(f"off-class coefficient of size {off} under tag {tag!r}")
     try:
         linsolve.Elimination(poly.linear_matrix())
@@ -777,7 +737,7 @@ def to_records(pmap: PolyMap) -> list[dict]:
     records = []
     for (coord, exps), value in pmap.sorted_items():
         rec = {"coord": coord, "exponents": list(exps)}
-        if pmap.mode == RATIONAL:
+        if pmap.mode.exact:
             rec["num"] = value.numerator
             rec["den"] = value.denominator
         else:
@@ -786,12 +746,44 @@ def to_records(pmap: PolyMap) -> list[dict]:
     return records
 
 
-def _record_int(value, j: int, field: str) -> int:
-    """An integer field of record j, refused when it is a boolean, a float
-    or anything else that is not an int."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"record {j}: {field}: expected an integer, got {value!r}")
-    return value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def record_ratio(rec: Mapping, where: str, error=ValueError) -> Fraction:
+    """num/den of the integer fields `num` (0 when absent) and `den` (1 when
+    absent); a refusal raises error(where + field + ": " + reason)."""
+    num, den = rec.get("num", 0), rec.get("den", 1)
+    for field, v in (("num", num), ("den", den)):
+        if not _is_int(v):
+            raise error(f"{where}{field}: expected an integer, got {v!r}")
+    if den == 0:
+        raise error(f"{where}den: zero denominator")
+    return Fraction(num, den)
+
+
+def record_term(rec: Mapping, mode, where: str, error=ValueError):
+    """((coord, exponents), coefficient) of one coefficient record of the
+    given scalar policy, nothing coerced: a boolean or a float where an
+    integer belongs is refused, and so is a float that is not finite.  A
+    refusal raises error(where + field + ": " + reason)."""
+    coord, exps = rec.get("coord"), rec.get("exponents")
+    if not _is_int(coord):
+        raise error(f"{where}coord: expected an integer, got {coord!r}")
+    if not isinstance(exps, list) or not all(_is_int(e) for e in exps):
+        raise error(f"{where}exponents: expected a list of integers")
+    if mode.exact:
+        if "value" in rec:
+            raise error(f"{where}value: rational records use num/den")
+        return (coord, tuple(exps)), record_ratio(rec, where, error)
+    if "num" in rec or "den" in rec:
+        raise error(f"{where}value: float records use 'value', not num/den")
+    value = rec.get("value")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{where}value: expected a number, got {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:
+        raise error(f"{where}value: not a finite binary64 number")
+    return (coord, tuple(exps)), float(value)
 
 
 def from_records(
@@ -801,23 +793,9 @@ def from_records(
     cap: int,
     mode: str,
 ) -> PolyMap:
-    coeffs = {}
+    mode, coeffs = policy(mode), {}
     for j, rec in enumerate(records):
-        coord = _record_int(rec["coord"], j, "coord")
-        exps = tuple(_record_int(e, j, "exponents") for e in rec["exponents"])
-        if mode == RATIONAL:
-            num, den = _record_int(rec["num"], j, "num"), _record_int(rec["den"], j, "den")
-            if not den:
-                raise ValueError(f"record {j}: den: zero denominator")
-            value = Fraction(num, den)
-        else:
-            value = rec["value"]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"record {j}: value: expected a number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"record {j}: value: not a finite binary64 number")
-            value = float(value)
-        key = (coord, exps)
+        key, value = record_term(rec, mode, f"record {j}: ")
         if key in coeffs:
             raise ValueError(f"duplicate record for {key}")
         coeffs[key] = value

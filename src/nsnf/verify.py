@@ -13,7 +13,7 @@ import numpy as np
 from .base import Extension
 from .evaluator import EvalConfig, Evaluator, evaluate_at, interleave
 from .normal_form import NormalFormResult, ResonanceResult, pinned_lift
-from .polymap import FLOAT_TOL, GROUP_TAGS, PolyMap, agrees, compose, invert, project, vanishing
+from .polymap import GROUP_TAGS, PolyMap, agrees, compose, invert, project
 from .spectrum import TypeClass, criticality, degree_bound
 
 
@@ -52,7 +52,7 @@ def _witness(maps, spec, tag) -> TransitionWitness:
     for g in maps:
         off = project(g, spec, off_classes)
         offs.append(float(off.max_abs()))
-        oks.append(off.vanishes(FLOAT_TOL, g))
+        oks.append(off.vanishes(scale=g))
     return TransitionWitness(
         tag=tag,
         maps=tuple(maps),
@@ -129,9 +129,9 @@ def check_linearization(nf: NormalFormResult) -> bool:
     for x in range(nf.ext.base.p):
         p = nf.p_poly(x)
         lin = p.jet(1)
-        if not agrees(p, lin, FLOAT_TOL, p):
+        if not agrees(p, lin, scale=p):
             return False
-        if not agrees(lin, nf.ext.fiber(x).jet(1), FLOAT_TOL):
+        if not agrees(lin, nf.ext.fiber(x).jet(1)):
             return False
     return True
 
@@ -179,7 +179,7 @@ def check_centralizer(
     for x in range(f.p):
         lhs = compose(ext_g.fiber(f.image(x)), ext_f.fiber(x), cap)
         rhs = compose(ext_f.fiber(g.image(x)), ext_g.fiber(x), cap)
-        if not agrees(lhs, rhs, FLOAT_TOL, lhs):
+        if not agrees(lhs, rhs, scale=lhs):
             raise VerifyError(
                 "commutation", f"extensions do not commute over point {x}"
             )
@@ -187,7 +187,7 @@ def check_centralizer(
     dims = ext_f.dims
     for x in range(f.p):
         mixing = [entry for _, _, entry in dims.off_block(ext_g.fiber(x).linear_matrix())]
-        if not vanishing(mixing, ext_f.mode, FLOAT_TOL):
+        if not ext_f.mode.vanishes(mixing):
             raise VerifyError(
                 "derivative", f"derivative at the zero section mixes blocks at point {x}"
             )

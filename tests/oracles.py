@@ -412,7 +412,7 @@ def lift_table_reference(strategy, spec, dims, mode, p, d, classes):
     return table
 
 
-def reduce_family_reference(base, spec, p_elems, lift=None, float_tol=1e-9):
+def reduce_family_reference(base, spec, p_elems, lift=None):
     """The resonance reduction of `normal_form.reduce_family` as written
     when every degree composed whole maps, each on a fresh table, and kept
     their homogeneous part: the bitwise reference of the reduction on
@@ -446,7 +446,7 @@ def reduce_family_reference(base, spec, p_elems, lift=None, float_tol=1e-9):
 
     def backward_systems(keys, index, degree):
         ops = [
-            nfm._operator_rows(keys, index, dm, Powers(a_inv, degree), spec, leaves, float_tol)
+            nfm._operator_rows(keys, index, dm, Powers(a_inv, degree), spec, leaves)
             for dm, a_inv in zip(d_mats, a_inv_polys)
         ]
         return nfm._cycle_systems(base, ops, one, False, "reduction")
@@ -534,7 +534,7 @@ def per_group_cycle_solutions(plan, degree, rhs):
     for group in (groups[label] for label in sorted(groups)):
         index = {k: i for i, k in enumerate(group)}
         ops = [
-            nfm._operator_rows(group, index, plan.invs[x], lin_powers[x], spec, non_sub, 0)
+            nfm._operator_rows(group, index, plan.invs[x], lin_powers[x], spec, non_sub)
             for x in range(p)
         ]
         systems = nfm._cycle_systems(ext.base, ops, one, True, "per-group solve")

@@ -147,7 +147,7 @@ def test_dense_solve_matches_grouped(monkeypatch):
     assert grouped.p_normal == dense.p_normal
 
 
-def _t2_squared_operator(mode, mixing, tol):
+def _t2_squared_operator(mode, mixing):
     """Operator on the single key t2^2 -> coordinate 1, conjugated by a post
     map that mixes t1 into t2; the image leaks into other NON_SUB groups."""
     group = [(1, (0, 2))]
@@ -156,17 +156,19 @@ def _t2_squared_operator(mode, mixing, tol):
     pre = [[one, one * 0], [one * 0, one]]
     index = {k: i for i, k in enumerate(group)}
     guard = {TypeClass.NON_SUB}
-    rows = nfm._operator_rows(group, index, pre, Powers(post, 2), SPEC21, guard, tol)
+    rows = nfm._operator_rows(group, index, pre, Powers(post, 2), SPEC21, guard)
     return [[w for _, w in row] for row in rows]
 
 
 def test_operator_guard_rejects_leaving_the_group():
-    assert _t2_squared_operator(RATIONAL, F(0), 0) == [[F(1)]]
+    # the guard is the mode's vanishing test: exact, or FLOAT_TOL relative
+    # to the image's size (here 1)
+    assert _t2_squared_operator(RATIONAL, F(0)) == [[F(1)]]
     with pytest.raises(nfm.BuildError, match="solve subspace"):
-        _t2_squared_operator(RATIONAL, F(1, 10**30), 1e-9)
+        _t2_squared_operator(RATIONAL, F(1, 10**30))
     with pytest.raises(nfm.BuildError, match="solve subspace"):
-        _t2_squared_operator(FLOAT, 1e-12, 0)
-    assert _t2_squared_operator(FLOAT, 1e-12, 1e-9) == [[1.0]]
+        _t2_squared_operator(FLOAT, 1e-6)
+    assert _t2_squared_operator(FLOAT, 1e-12) == [[1.0]]
 
 
 # Three non-diagonal rational steps with zeros in them, and their inhomogeneities.
