@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import majorant
 from .polymap import GradedDims, PolyMap, compose, identity_map
 from .spectrum import (
     CriticalityCheck,
@@ -218,20 +219,7 @@ def validate_extension(
                     f"point {x} block {i}: singular values [{smin:.6g}, {smax:.6g}] "
                     f"outside [{lo[i]:.6g}, {hi[i]:.6g}]"
                 )
-        linear_norm = float(np.linalg.svd(full, compute_uv=False)[0])
-        # Coefficient-sum bound for the nonlinear tail on the sigma-ball:
-        # each |t^beta| <= sigma^{|beta|-1} ||t||, aggregated over target
-        # coordinates in the Euclidean norm.  Explicit += loops keep the
-        # bits: sum() of floats is compensated from Python 3.12 on.
-        coord_sums = [0.0] * ext.dims.total
-        for (coord, exps), value in pm.coeffs.items():
-            deg = sum(exps)
-            if deg >= 2:
-                coord_sums[coord] += abs(float(value)) * ext.sigma ** (deg - 1)
-        tail_sq = 0.0
-        for coord_sum in coord_sums:
-            tail_sq += coord_sum * coord_sum
-        certificate = linear_norm + math.sqrt(tail_sq)
+        certificate = majorant.norm2(full) + majorant.ball_tail(pm, ext.sigma)
         if not certificate <= ext.xi:
             contraction_detail.append(
                 f"point {x}: certificate {certificate:.6g} exceeds xi {ext.xi:.6g}"

@@ -26,8 +26,9 @@ from itertools import repeat
 
 import numpy as np
 
+from . import majorant
 from .normal_form import NormalFormResult
-from .polymap import PolyMap, group_inverse
+from .polymap import group_inverse
 
 
 # `survey` also checks the one-step gap at every this-many-th residual sample.
@@ -119,12 +120,19 @@ def _sum_sq(rows: np.ndarray) -> np.ndarray:
 
 
 def evaluate_at(maps, xs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Row i is maps[xs[i]] evaluated at points[i], one batch per point."""
-    present = np.flatnonzero(np.bincount(xs, minlength=len(maps))).tolist()
-    if len(present) == 1:
-        return maps[present[0]].evaluate_batch(points)
+    """Row i is maps[xs[i]] evaluated at points[i], one batch per point: on
+    slices where each point's rows are one run, else through masks."""
+    if len(maps) == 1:
+        return maps[0].evaluate_batch(points)
+    cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    if 0 < len(xs) and len(cuts) < len(maps):
+        bounds = [0, *cuts.tolist(), len(xs)]
+        heads = xs[bounds[:-1]].tolist()
+        if len(set(heads)) == len(heads):  # one run per point
+            runs = zip(heads, bounds, bounds[1:])
+            return np.concatenate([maps[x].evaluate_batch(points[a:b]) for x, a, b in runs])
     out = np.empty((len(xs), maps[0].target.total))
-    for x in present:
+    for x in np.flatnonzero(np.bincount(xs, minlength=len(maps))).tolist():
         rows = xs == x
         out[rows] = maps[x].evaluate_batch(points[rows])
     return out
@@ -254,106 +262,6 @@ def _contact_fit(radii: tuple[float, ...], gaps: tuple[float, ...], floor: float
 # -- the certified stop -------------------------------------------------
 
 
-def _degree_sums(pmap: PolyMap) -> np.ndarray:
-    """(coordinate, degree) table of sum |c| over each coordinate's terms of
-    each degree: the coefficient majorants of a float map."""
-    table = np.zeros((pmap.target.total, pmap.degree() + 1))
-    for (coord, exps), value in pmap.coeffs.items():
-        table[coord, sum(exps)] += abs(value)
-    return table
-
-
-def _majorant(pmap: PolyMap) -> np.ndarray:
-    """m_G: the degree-n coefficient is max_i sum_{|e|=n} |c_{i,e}|, so
-    |G(t)|_inf <= m_G(r) where |t|_inf <= r."""
-    return _degree_sums(pmap).max(axis=0)
-
-
-def _lipschitz(pmap: PolyMap) -> np.ndarray:
-    """Lambda_G as a univariate polynomial: degree n - 1 takes n times the
-    degree-n coefficients, so it bounds the sup-norm Lipschitz constant of
-    G on the sup-ball of radius r."""
-    table = _degree_sums(pmap)
-    return (table[:, 1:] * np.arange(1, table.shape[1])).max(axis=0)
-
-
-def _trim(coeffs) -> tuple[int, list]:
-    """A univariate polynomial as (low, c): sum_k c[k] r^(low + k), with
-    neither leading nor trailing zeros in c."""
-    coeffs = [float(c) for c in coeffs]
-    low = next((k for k, c in enumerate(coeffs) if c), len(coeffs))
-    high = len(coeffs)
-    while high > low and not coeffs[high - 1]:
-        high -= 1
-    return low, coeffs[low:high]
-
-
-def _power(out, r, low: int):
-    """out * r^low, by repeated squaring."""
-    while low:
-        if low & 1:
-            out = out * r
-        low >>= 1
-        if low:
-            r = r * r
-    return out
-
-
-def _poly(poly: tuple[int, list], r):
-    """A `_trim`med polynomial at a number or an array, by Horner's rule."""
-    low, coeffs = poly
-    if not coeffs:
-        return 0.0 * r
-    out = coeffs[-1] + 0.0 * r
-    for c in coeffs[-2::-1]:
-        out = out * r + c
-    return _power(out, r, low)
-
-
-def _table(polys) -> tuple[int, np.ndarray]:
-    """One univariate polynomial per base point as (low, table): table[k, y]
-    is point y's coefficient of degree low + k."""
-    width = max(len(c) for c in polys)
-    table = np.zeros((width, len(polys)))
-    for y, c in enumerate(polys):
-        table[: len(c), y] = c
-    low = 0
-    while low < width - 1 and not table[low].any():
-        low += 1
-    while width > low + 1 and not table[width - 1].any():
-        width -= 1
-    return low, table[low:width]
-
-
-def _at(poly: tuple[int, np.ndarray], ys: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Each entry of r through the polynomial of the base point in ys."""
-    low, table = poly
-    if table.shape[1] == 1:  # one base point: no gathers
-        return _power(_poly((0, table[:, 0].tolist()), r), r, low)
-    out = table[-1][ys]
-    for row in table[-2::-1]:
-        out = out * r + row[ys]
-    return _power(out, r, low)
-
-
-def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Coefficients of the univariate polynomial outer(inner(r))."""
-    out = np.zeros(1)
-    for c in outer[::-1]:
-        out = np.convolve(out, inner)
-        out[0] += c
-    return out
-
-
-def _top(arrays, combine=np.maximum) -> np.ndarray:
-    """Coefficient-wise maximum (or another combination) of univariate
-    polynomials."""
-    out = np.zeros(max(len(a) for a in arrays))
-    for a in arrays:
-        out[: len(a)] = combine(out[: len(a)], a)
-    return out
-
-
 class _CertifiedStop:
     """A bound on |step-k value - limit| along each row's own orbit, and the
     first step k* where it falls below tol/10.
@@ -362,7 +270,7 @@ class _CertifiedStop:
     s_j = |w_j|_2.  The step-k value is P^{-1}_{y_0} o ... o P^{-1}_{y_{k-1}}
     applied to H_{y_k}(w_k); the limit is the same chain applied to the
     true coordinate change at w_k.  m_G is the univariate majorant of a map
-    G (`_majorant`) and Lambda_G its Lipschitz bound (`_lipschitz`).
+    G and Lambda_G its Lipschitz bound (`majorant.py` forms both).
 
     - Defect.  R_y = H_{f(y)} o F_y - P_y o H_y has no terms of degree <= N
       (in float builds those are round-off, which this bound leaves out), so
@@ -407,38 +315,36 @@ class _CertifiedStop:
         self.n_taylor = nf.n_taylor
         self.root_n = math.sqrt(ext.dims.total)
         self.perm = ev._perm
-        h = [_majorant(m) for m in nf.h_taylor]
-        f = [_majorant(m) for m in ext.fibers]
-        p = [_majorant(m) for m in ev.p_maps]
-        lip = [_lipschitz(m) for m in ev.p_inv]
+        h = [majorant.sup_bound(m) for m in nf.h_taylor]
+        f = [majorant.sup_bound(m) for m in ext.fibers]
+        p = [majorant.sup_bound(m) for m in ev.p_maps]
+        lip = [majorant.lipschitz_bound(m) for m in ev.p_inv]
         defect = []
-        for y in range(ext.base.p):
-            fy = ext.base.image(y)
-            both = _top([_compose(h[fy], f[y]), _compose(p[y], h[y])], np.add)
+        for y, fy in enumerate(ext.base.perm):
+            both = majorant.top([majorant.compose(h[fy], f[y]), majorant.compose(p[y], h[y])], np.add)
             both[: self.n_taylor + 1] = 0.0
             defect.append(both)
-        self.f, self.h, self.d, self.lip = (_table(c) for c in (f, h, defect, lip))
-        self.defects = [_trim(c) for c in defect]
+        self.f, self.h, self.d, self.lip = (majorant.table(c) for c in (f, h, defect, lip))
         # the far tail, uniform over base points
-        self.d_all = _trim(_top(defect))
-        self.h_all = _trim(_top(h))
-        self.f_rate = max(_norm2(m.linear_matrix()) for m in ext.fibers)
-        self.p_rate = max(_norm2(m.linear_matrix()) for m in ev.p_inv)
+        self.d_all = majorant.table([majorant.top(defect)])
+        self.h_all = majorant.table([majorant.top(h)])
+        self.f_rate = max(majorant.norm2(m.linear_matrix()) for m in ext.fibers)
+        self.p_rate = max(majorant.norm2(m.linear_matrix()) for m in ev.p_inv)
         # nonlinear parts as polynomials in s (resp. B) of one degree less
-        self.f_more = _trim(_top([c[2:] for c in f] + [[0.0]]))
-        self.lip_more = _trim(_top([c[1:] for c in lip] + [[0.0]]))
+        self.f_more = majorant.table([majorant.top([c[2:] for c in f])])
+        self.lip_more = majorant.table([majorant.top([c[1:] for c in lip])])
         self._classes: dict = {}
 
     def tail(self, s):
         """The closed-form bound on e_J at s = s_J, inf where it does not
         apply."""
-        if not self.d_all[1]:
+        if not self.d_all[1].any():
             return 0.0 * s
-        d = _poly(self.d_all, s)
-        theta = self.f_rate + self.root_n * s * _poly(self.f_more, s)
-        ball = self.root_n * (_poly(self.h_all, s) + d) + 2.0 * s
-        lam = self.p_rate + self.root_n * ball * _poly(self.lip_more, ball)
-        q = _power(lam, theta, self.n_taylor + 1)
+        d = majorant.at(self.d_all, s)
+        theta = self.f_rate + self.root_n * s * majorant.at(self.f_more, s)
+        ball = self.root_n * (majorant.at(self.h_all, s) + d) + 2.0 * s
+        lam = self.p_rate + self.root_n * ball * majorant.at(self.lip_more, ball)
+        q = majorant.power(lam, theta, self.n_taylor + 1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             e = self.root_n * lam * d / (1.0 - q)
         return np.where((theta < 1.0) & (q < 1.0) & (e <= s), e, np.inf)
@@ -459,15 +365,15 @@ class _CertifiedStop:
         # spectral bands contract: |F(w)|_2 <= theta(S) |w|_2 (see `tail`)
         while True:
             for _ in range(min(8, cfg.k_max + 1 - len(r))):
-                theta = self.f_rate + self.root_n * s[-1] * _poly(self.f_more, s[-1])
-                r.append(np.minimum(_at(self.f, ys[-1], r[-1]), theta * s[-1]))
+                theta = self.f_rate + self.root_n * s[-1] * majorant.at(self.f_more, s[-1])
+                r.append(np.minimum(majorant.at(self.f, r[-1], ys[-1]), theta * s[-1]))
                 s.append(np.minimum(theta * s[-1], self.root_n * r[-1]))
                 ys.append(self.perm[ys[-1]])
             at, radii = np.array(ys), np.array(r)
-            m_h, d = _at(self.h, at, radii), _at(self.d, at, radii)
+            m_h, d = majorant.at(self.h, radii, at), majorant.at(self.d, radii, at)
             tails = self.tail(np.array(s))
             with np.errstate(over="ignore", invalid="ignore"):
-                rough = np.cumprod(_at(self.lip, at[:-1], m_h[1:] + d[:-1]), axis=0)
+                rough = np.cumprod(majorant.at(self.lip, m_h[1:] + d[:-1], at[:-1]), axis=0)
                 passed = rough * tails[1:] < target / 2.0
             if passed.any(axis=0).all() or len(r) > cfg.k_max:
                 break
@@ -478,7 +384,7 @@ class _CertifiedStop:
         lams = np.empty((size - 1,) + e.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(size - 2, -1, -1):
-                lams[j] = _at(self.lip, at[j], m_h[j + 1] + d[j] + 2.0 * e)
+                lams[j] = majorant.at(self.lip, m_h[j + 1] + d[j] + 2.0 * e, at[j])
                 e = np.where(j < last, lams[j] * (d[j] + e), tails[j])
             products = np.cumprod(lams, axis=0)
         products[np.arange(size - 1)[:, None, None] >= last] = 0.0
@@ -486,10 +392,9 @@ class _CertifiedStop:
         return got
 
     def certify(self, ev: "Evaluator", xs: np.ndarray, w: np.ndarray, cfg: EvalConfig):
-        """For rows (xs[i], w[i]), sorted by start point: the orbit
-        w_0..w_J, each row's k* (k_max + 1 where none is found), and its
-        bounds c_k, k = 0..J, one array row per step; a row's bound past J
-        is its bound at J."""
+        """For rows (xs[i], w[i]): the orbit w_0..w_J, each row's k* (k_max + 1
+        where none is found), and its bounds c_k, k = 0..J, one array row per
+        step; a row's bound past J is its bound at J."""
         last, products = self.classes(cfg)
         r = [_sup(w)]
         with np.errstate(divide="ignore"):
@@ -498,24 +403,13 @@ class _CertifiedStop:
         m = np.maximum(m - (cfg.radius * 2.0 ** (-m / 4.0) < r[0]), 0)  # rho_m >= r_0
         cell = xs * CLASSES + m
         stop = last.ravel()[cell]  # each row's J
-        first = np.flatnonzero(np.diff(xs, prepend=-1))
-        groups = [slice(a, b) for a, b in zip(first.tolist(), [*first[1:].tolist(), len(xs)])]
-        orbit, terms = [w], []
-        ys = [int(xs[g.start]) for g in groups]
+        orbit, terms, ys = [w], [], xs
         # c_k = sum_{k <= j < J} Lambda_0 ... Lambda_j d_j + Lambda_0 ... Lambda_{J-1} e_J;
         # the products are 0 past a class's J
         for j in range(int(stop.max(initial=1))):
-            if len(groups) == 1:
-                d = _poly(self.defects[ys[0]], r[j])
-                w = ev.ext.fiber(ys[0]).evaluate_batch(w)
-                ys[0] = ev.base.image(ys[0])
-            else:
-                d, w = np.empty(len(xs)), np.empty_like(w)
-                for i, (g, y) in enumerate(zip(groups, ys)):
-                    d[g] = _poly(self.defects[y], r[j][g])
-                    w[g] = ev.ext.fiber(y).evaluate_batch(orbit[j][g])
-                    ys[i] = ev.base.image(y)
-            terms.append(products[j, cell] * d)
+            terms.append(products[j, cell] * majorant.at(self.d, r[j], ys))
+            w = evaluate_at(ev.ext.fibers, ys, w)
+            ys = self.perm.take(ys)
             orbit.append(w)
             r.append(_sup(w))
         at_stop = np.concatenate(orbit).take(stop * len(xs) + np.arange(len(xs)), axis=0)
@@ -525,18 +419,13 @@ class _CertifiedStop:
             c = products[stop - 1, cell] * self.tail(np.sqrt(_sum_sq(at_stop)))
         c[np.isnan(c)] = np.inf  # 0 * inf: no bound
         bounds[-1] = c
-        # c_k does not grow with k, so k* counts the steps still above target
-        k_star = (c >= target).astype(np.intp)
+        # c_k does not grow with k, so k* counts the steps still above target or NaN
+        k_star = (~(c < target)).astype(np.intp)
         for k in range(len(terms) - 1, -1, -1):
             c = bounds[k] = c + terms[k]
-            k_star += c >= target
+            k_star += ~(c < target)
         k_star[k_star == len(orbit)] = cfg.k_max + 1
         return orbit, k_star, bounds
-
-
-def _norm2(matrix) -> float:
-    """Largest singular value of a matrix."""
-    return float(np.linalg.norm(np.array(matrix, dtype=float), 2))
 
 
 class Evaluator:

@@ -36,6 +36,7 @@ from .polymap import (
     project,
     zero_map,
 )
+from .scalars import of_values
 from .spectrum import (
     HomogeneousType,
     SpectrumSpec,
@@ -659,7 +660,7 @@ class ResonanceResult:
 
 def _block_diag_part(matrix, dims: GradedDims):
     out = [list(row) for row in matrix]
-    zero = matrix[0][0] * 0
+    zero = of_values(v for row in matrix for v in row).zero
     for r, c, _ in dims.off_block(matrix):
         out[r][c] = zero
     return out

@@ -2,13 +2,18 @@
 whose tail bound is below tol/10, the bound holds against a later iterate,
 and the 10*tol residual gate holds on random instances in both modes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nsnf.evaluator import EvalConfig, EvalError, Evaluator
+from nsnf.instance import load_instance
 from nsnf.normal_form import build_taylor
 from nsnf.polymap import FLOAT, RATIONAL
 from nsnf.rand_instances import random_instance
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def _evaluator(seed, mode=RATIONAL, cfg=None):
@@ -76,3 +81,29 @@ def test_zero_point_needs_no_steps():
     lim = ev.limits([0], [[0.0] * ev.ext.dims.total])
     assert (lim.iterations[0], lim.k_star[0], lim.bounds[0]) == (0, 0, 0.0)
     assert ev.certified_stop(0, [0.0] * ev.ext.dims.total) == 0
+
+
+@pytest.mark.parametrize("name", ["strictsub_linear.json", "strictsub_linear_rational.json"])
+def test_empty_defect_needs_no_steps(name):
+    """Forced linear builds: H and P are linear, so the defect has no terms
+    above N and every bound is 0, although |L_F|_2 > 1 leaves the far tail
+    no contraction to sum."""
+    inst = load_instance(str(INSTANCES / name))
+    nf = build_taylor(inst.ext, inst.spec, inst.n_taylor, inst.alpha, force=True)
+    ev = Evaluator(nf, EvalConfig(radius=inst.options.radius))
+    xs, points = ev.sample_points(seed=0, samples=50, radius=ev.cfg.radius)
+    lim = ev.limits(xs, points)
+    assert (lim.bounds == 0.0).all() and (lim.k_star == 0).all()
+    assert ev.certified_stop(int(xs[0]), points[0]) == 0
+
+
+def test_nan_bound_certifies_no_step():
+    """With k_max = 3 at the whole sigma-ball the stop evaluates majorants
+    where the far tail does not apply, and some bounds come out NaN; a NaN
+    bound is no bound, so no row of the sample is certified."""
+    inst = load_instance(str(INSTANCES / "worked_2block.json"))
+    nf = build_taylor(inst.ext, inst.spec, inst.n_taylor, inst.alpha)
+    sigma = float(inst.ext.sigma)
+    ev = Evaluator(nf, EvalConfig(radius=sigma, k_max=3))
+    xs, points = ev.sample_points(seed=0, samples=200, radius=sigma)
+    assert all(ev.certified_stop(int(x), t) is None for x, t in zip(xs, points))

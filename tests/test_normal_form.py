@@ -580,6 +580,17 @@ def test_reduce_strictsub_linear_float():
     assert set(red.p_res[0].poly.coeffs) == {(0, (1, 0)), (1, (0, 1))}
 
 
+def test_block_diag_part_takes_the_policy_zero():
+    """Off-block entries become the zero of the matrix's scalar policy, so
+    a negative float corner does not turn them into -0.0."""
+    out = nfm._block_diag_part([[-0.5, 0.1], [0.3, 2.0]], GradedDims([1, 1]))
+    assert out == [[-0.5, 0.0], [0.0, 2.0]]
+    assert math.copysign(1.0, out[0][1]) == math.copysign(1.0, out[1][0]) == 1.0
+    exact = nfm._block_diag_part([[F(-1, 2), F(1, 10)], [F(3, 10), F(2)]], GradedDims([1, 1]))
+    assert exact == [[F(-1, 2), 0], [0, F(2)]]
+    assert type(exact[0][1]) is type(exact[1][0]) is F
+
+
 def test_reduce_kills_strict_quadratic():
     spec = SpectrumSpec([F(-5, 2), F(-1)], F(1, 10))
     a, b, c = F(2, 25), F(9, 25), F(1, 2)
