@@ -120,19 +120,12 @@ def _sum_sq(rows: np.ndarray) -> np.ndarray:
 
 
 def evaluate_at(maps, xs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Row i is maps[xs[i]] evaluated at points[i], one batch per point: on
-    slices where each point's rows are one run, else through masks."""
-    if len(maps) == 1:
-        return maps[0].evaluate_batch(points)
-    cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-    if 0 < len(xs) and len(cuts) < len(maps):
-        bounds = [0, *cuts.tolist(), len(xs)]
-        heads = xs[bounds[:-1]].tolist()
-        if len(set(heads)) == len(heads):  # one run per point
-            runs = zip(heads, bounds, bounds[1:])
-            return np.concatenate([maps[x].evaluate_batch(points[a:b]) for x, a, b in runs])
+    """Row i is maps[xs[i]] evaluated at points[i], one batch per point."""
+    present = np.flatnonzero(np.bincount(xs, minlength=len(maps))).tolist()
+    if len(present) == 1:
+        return maps[present[0]].evaluate_batch(points)
     out = np.empty((len(xs), maps[0].target.total))
-    for x in np.flatnonzero(np.bincount(xs, minlength=len(maps))).tolist():
+    for x in present:
         rows = xs == x
         out[rows] = maps[x].evaluate_batch(points[rows])
     return out
@@ -366,14 +359,14 @@ class _CertifiedStop:
         while True:
             for _ in range(min(8, cfg.k_max + 1 - len(r))):
                 theta = self.f_rate + self.root_n * s[-1] * majorant.at(self.f_more, s[-1])
-                r.append(np.minimum(majorant.at(self.f, r[-1], ys[-1]), theta * s[-1]))
+                r.append(np.minimum(majorant.at_each(self.f, r[-1], ys[-1]), theta * s[-1]))
                 s.append(np.minimum(theta * s[-1], self.root_n * r[-1]))
                 ys.append(self.perm[ys[-1]])
             at, radii = np.array(ys), np.array(r)
-            m_h, d = majorant.at(self.h, radii, at), majorant.at(self.d, radii, at)
+            m_h, d = majorant.at_each(self.h, radii, at), majorant.at_each(self.d, radii, at)
             tails = self.tail(np.array(s))
             with np.errstate(over="ignore", invalid="ignore"):
-                rough = np.cumprod(majorant.at(self.lip, m_h[1:] + d[:-1], at[:-1]), axis=0)
+                rough = np.cumprod(majorant.at_each(self.lip, m_h[1:] + d[:-1], at[:-1]), axis=0)
                 passed = rough * tails[1:] < target / 2.0
             if passed.any(axis=0).all() or len(r) > cfg.k_max:
                 break
@@ -384,7 +377,7 @@ class _CertifiedStop:
         lams = np.empty((size - 1,) + e.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(size - 2, -1, -1):
-                lams[j] = majorant.at(self.lip, m_h[j + 1] + d[j] + 2.0 * e, at[j])
+                lams[j] = majorant.at_each(self.lip, m_h[j + 1] + d[j] + 2.0 * e, at[j])
                 e = np.where(j < last, lams[j] * (d[j] + e), tails[j])
             products = np.cumprod(lams, axis=0)
         products[np.arange(size - 1)[:, None, None] >= last] = 0.0
@@ -392,9 +385,10 @@ class _CertifiedStop:
         return got
 
     def certify(self, ev: "Evaluator", xs: np.ndarray, w: np.ndarray, cfg: EvalConfig):
-        """For rows (xs[i], w[i]): the orbit w_0..w_J, each row's k* (k_max + 1
-        where none is found), and its bounds c_k, k = 0..J, one array row per
-        step; a row's bound past J is its bound at J."""
+        """For rows (xs[i], w[i]), sorted by start point: the orbit
+        w_0..w_J, each row's k* (k_max + 1 where none is found), and its
+        bounds c_k, k = 0..J, one array row per step; a row's bound past J
+        is its bound at J."""
         last, products = self.classes(cfg)
         r = [_sup(w)]
         with np.errstate(divide="ignore"):
@@ -403,16 +397,21 @@ class _CertifiedStop:
         m = np.maximum(m - (cfg.radius * 2.0 ** (-m / 4.0) < r[0]), 0)  # rho_m >= r_0
         cell = xs * CLASSES + m
         stop = last.ravel()[cell]  # each row's J
-        orbit, terms, ys = [w], [], xs
+        cuts = [*np.flatnonzero(np.diff(xs, prepend=-1)).tolist(), len(xs)]
+        ys = xs[cuts[:-1]]  # the point each run of rows is at
+        orbit = np.empty((int(stop.max(initial=1)) + 1,) + w.shape)  # w_0 .. w_J of every row
+        orbit[0] = w
+        d, terms = np.empty(len(xs)), []
         # c_k = sum_{k <= j < J} Lambda_0 ... Lambda_j d_j + Lambda_0 ... Lambda_{J-1} e_J;
         # the products are 0 past a class's J
-        for j in range(int(stop.max(initial=1))):
-            terms.append(products[j, cell] * majorant.at(self.d, r[j], ys))
-            w = evaluate_at(ev.ext.fibers, ys, w)
+        for j in range(len(orbit) - 1):
+            for y, a, b in zip(ys.tolist(), cuts, cuts[1:]):
+                d[a:b] = majorant.at(self.d, r[j][a:b], y)
+                orbit[j + 1, a:b] = ev.ext.fibers[y].evaluate_batch(orbit[j, a:b])
             ys = self.perm.take(ys)
-            orbit.append(w)
-            r.append(_sup(w))
-        at_stop = np.concatenate(orbit).take(stop * len(xs) + np.arange(len(xs)), axis=0)
+            terms.append(products[j, cell] * d)
+            r.append(_sup(orbit[j + 1]))
+        at_stop = orbit[stop, np.arange(len(xs))]
         bounds = np.empty((len(orbit), len(xs)))
         target = cfg.tol / 10.0
         with np.errstate(over="ignore", invalid="ignore"):

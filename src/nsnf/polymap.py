@@ -781,7 +781,7 @@ def record_term(rec: Mapping, mode, where: str, error=ValueError):
     value = rec.get("value")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{where}value: expected a number, got {type(value).__name__}")
-    if not -sys.float_info.max <= value <= sys.float_info.max:
+    if not abs(value) <= sys.float_info.max:
         raise error(f"{where}value: not a finite binary64 number")
     return (coord, tuple(exps)), float(value)
 

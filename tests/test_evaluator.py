@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsnf.evaluator import EvalConfig, EvalError, Evaluator, evaluate_at
+from nsnf.evaluator import EvalConfig, EvalError, Evaluator
 from nsnf.instance import load_instance
 from nsnf.normal_form import build_taylor
 from nsnf.rand_instances import random_instance
@@ -37,20 +37,6 @@ def test_zero_section_fixed():
     assert res.value == (0.0, 0.0)
     assert res.iterations == 0
     assert res.converged
-
-
-def test_evaluate_at_runs_and_masks_agree():
-    """Rows grouped into one run per base point are evaluated on slices,
-    interleaved rows through masks; each row's value is the same bits."""
-    maps = three_cycle_extension().to_float().fibers
-    rng = np.random.default_rng(0)
-    xs, points = rng.integers(0, 3, 300), rng.uniform(-0.05, 0.05, (300, 2))
-    order = np.argsort(xs, kind="stable")
-    grouped = evaluate_at(maps, xs[order], points[order])
-    assert (evaluate_at(maps, xs, points)[order] == grouped).all()
-    for x in range(3):
-        rows = xs[order] == x
-        assert (grouped[rows] == maps[x].evaluate_batch(points[order][rows])).all()
 
 
 def test_linear_extension_is_identity():

@@ -3,6 +3,7 @@ norm of G on a sup-ball, Lambda_G its Lipschitz constant there, and the
 contraction certificate |F_x(t)|_2 / |t|_2 on the sigma-ball, on random
 maps (exactly, in rational arithmetic) and on the shipped instances."""
 
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from nsnf import majorant
 from nsnf.instance import load_instance
 from nsnf.polymap import GradedDims
+from nsnf.rand_instances import random_instance
 
 from strategies import endo_poly_maps
 
@@ -120,19 +122,50 @@ def test_bounds_hold_on_the_shipped_fibers(name):
         assert ratios.max() <= _certificate(pmap, sigma) * SLACK
 
 
+def _term_loop_tail(pmap, radius):
+    """The certificate tail as a loop over terms: each |c| scaled by
+    radius^(k-1), then added to its coordinate in the map's order."""
+    coord_sums = [0.0] * pmap.target.total
+    for (coord, exps), value in pmap.coeffs.items():
+        if sum(exps) >= 2:
+            coord_sums[coord] += abs(float(value)) * radius ** (sum(exps) - 1)
+    square = 0.0
+    for coord_sum in coord_sums:
+        square += coord_sum * coord_sum
+    return math.sqrt(square)
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.7, 0.1, F(3, 10), 0.25])
+def test_ball_tail_keeps_the_term_loops_bits(radius):
+    """Summing each coordinate by degree first rounds differently unless the
+    radius is a power of two: at 0.3, fiber 4 of random_instance(0) reads
+    0.10124999999999998 term by term and 0.10124999999999999 by degree."""
+    for seed in range(12):
+        for pmap in random_instance(seed).ext.fibers:
+            assert majorant.ball_tail(pmap, radius) == _term_loop_tail(pmap, radius)
+
+
 def test_table_keeps_each_points_low():
-    polys = [np.array([0.0, 0.0, 3.0, 1.0]), np.array([0.0, 2.0, 0.0, 0.0, 5.0]), np.zeros(3)]
-    lows, coeffs = majorant.table(polys)
-    assert lows.tolist() == [2, 1, 1]  # the zero majorant takes the lowest
-    assert majorant.table(polys[1:])[0] == 1  # one low shared: an int
-    assert coeffs.shape == (4, 3) and not coeffs[:, 2].any()
+    polys = [np.array([0.0, 0.0, 3.0, 1.0]), np.array([0.0, 2.0, 0.0, 0.0, 5.0, 0.0]), np.zeros(3)]
+    poly = majorant.table(polys)
+    low, coeffs, forms = poly
+    assert low == 1 and coeffs.shape == (4, 3) and not coeffs[:, 2].any()
+    assert forms == [(2, [3.0, 1.0]), (1, [2.0, 0.0, 0.0, 5.0]), (0, [])]
     r = np.array([0.5, 0.25, 0.125, 2.0])
-    ys = np.array([0, 1, 2, 1])
-    want = [np.polynomial.polynomial.polyval(v, polys[y]) for v, y in zip(r, ys)]
-    assert np.allclose(majorant.at((lows, coeffs), r, ys), want, rtol=1e-15, atol=0)
-    # one point: every entry of r through its one majorant
-    one = majorant.table([polys[1]])
-    assert np.allclose(majorant.at(one, r), np.polynomial.polynomial.polyval(r, polys[1]))
+    for y, c in enumerate(polys):
+        assert np.allclose(majorant.at(poly, r, y), np.polynomial.polynomial.polyval(r, c), rtol=1e-15, atol=0)
+    # Horner's rule from the point's own lowest degree, then r^low
+    assert majorant.at(poly, r, 0).tobytes() == ((r + 3.0) * (r * r)).tobytes()
+    assert majorant.at(poly, r, 2).tobytes() == (0.0 * r).tobytes()
+    # each entry through its point's row of the table, from the shared low
+    ys = np.array([[0, 1, 2, 1], [2, 0, 0, 1]])
+    got = majorant.at_each(poly, np.tile(r, (2, 1)), ys)
+    want = [np.polynomial.polynomial.polyval(r, c) for c in polys]
+    for i, j in np.ndindex(ys.shape):
+        assert np.isclose(got[i, j], want[ys[i, j]][j], rtol=1e-15, atol=0)
+    # a table of one is its point's majorant
+    one = majorant.table(polys[:1])
+    assert one[0] == 2 and majorant.at_each(one, r, np.zeros(4, int)).tobytes() == majorant.at(one, r).tobytes()
 
 
 def test_compose_top_and_power():
@@ -143,4 +176,5 @@ def test_compose_top_and_power():
     assert majorant.top([outer, inner]).tolist() == [0.0, 3.0, 2.0]
     assert majorant.top([outer, inner], np.add).tolist() == [0.0, 4.0, 3.0]
     assert majorant.top([outer[3:], inner[3:]]).tolist() == [0.0]
-    assert majorant.power(np.array([3.0, 3.0]), np.array([2.0, 2.0]), np.array([0, 5])).tolist() == [3.0, 96.0]
+    assert majorant.power(np.array([3.0, 1.5]), np.array([2.0, 0.5]), 5).tolist() == [96.0, 1.5 / 32]
+    assert majorant.power(3.0, 2.0, 0) == 3.0
