@@ -88,12 +88,12 @@ class Elimination:
         self._eliminate(rows, scalars)
 
     @classmethod
-    def of_rows(cls, rows, zero) -> "Elimination":
+    def of_rows(cls, rows, scalars) -> "Elimination":
         """The elimination of the square matrix whose row i is the dict
-        rows[i] of its nonzero entries {column: value}; `zero` is the
-        scalar mode's zero.  The rows are consumed."""
+        rows[i] of its nonzero entries {column: value}, all of the scalar
+        policy `scalars`.  The rows are consumed."""
         self = object.__new__(cls)
-        self._eliminate(rows, of_values((zero,)))
+        self._eliminate(rows, scalars)
         return self
 
     def _eliminate(self, work, scalars):

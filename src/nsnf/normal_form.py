@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence
 
 from . import linsolve
@@ -148,69 +149,103 @@ def _lift_table(strategy: LiftStrategy, spec, dims, mode, p, d, classes):
 # -- the conjugation operator and its cycle solves ----------------------
 
 
-def _sparse_vec(rows, vec, zero):
-    """rows . vec, accumulating each row left to right from zero.
+class _SolveSpan:
+    """span(keys), the degree-n maps on which the cycle solves run, one
+    vector entry per key; `index` gives each key's position.
 
-    Products with zero entries of vec are skipped: the accumulator starts
-    at +0 and never becomes -0, so adding them changes no bit.
+    A conjugation R -> pre . R o post must keep a map of the span inside
+    it: image terms outside `keys` whose class lies in `guard` must vanish
+    (by the mode's test, relative to the size of the image).
     """
+
+    __slots__ = ("keys", "index", "degree", "spec", "guard")
+
+    def __init__(self, keys, degree, spec, guard):
+        self.keys, self.index = keys, {k: i for i, k in enumerate(keys)}
+        self.degree, self.spec, self.guard = degree, spec, guard
+
+    def conjugate(self, coeffs, pre, powers: Powers) -> list:
+        """(position, coefficient) pairs of pre . R o post on the span, for
+        the map R with nonzero terms `coeffs` {key: value}; `pre` is a
+        matrix and `powers` the power table of the linear map post."""
+        dims, mode = powers.inner.source, powers.inner.mode
+        r = PolyMap._kept(dims, dims, self.degree, mode, coeffs)
+        img = left_linear(pre, compose_part(r, powers, self.degree)).coeffs
+        out, leaked = [], []
+        for k, w in img.items():
+            pos = self.index.get(k)
+            if pos is not None:
+                out.append((pos, w))
+            elif self.spec.type_class(dims.block_of[k[0]], dims.block_degrees(k[1])) in self.guard:
+                leaked.append(w)
+        if leaked and not mode.vanishes(leaked, max(map(abs, img.values()))):
+            raise BuildError("conjugation left its solve subspace")
+        return out
+
+
+def _cycle_maps(base: FiniteBase, pairs, pull: bool):
+    """(cycle, steps, return pair) for every base cycle: the pairs (pre
+    matrix, post power table) of its points in cycle order, and the pair
+    of its return maps, which conjugates once around the cycle: by
+    pre_0 ... pre_{q-1} and post_{q-1} o ... o post_0 (pull), or by
+    pre_{q-1} ... pre_0 and post_0 o ... o post_{q-1} (push), multiplied as
+    matrices.  The return map's power table has the cap of the points'
+    tables; a fixed point's return pair is its own pair."""
     out = []
-    for row in rows:
-        acc = zero
-        for k, a in row:
-            v = vec[k]
-            if v:
-                acc = acc + a * v
-        out.append(acc)
+    for cycle in base.cycles:
+        steps = [pairs[x] for x in cycle]
+        ret = steps[0]
+        if len(steps) > 1:
+            pres = [pre for pre, _ in steps]
+            posts = [powers.inner.linear_matrix() for _, powers in steps]
+            (posts if pull else pres).reverse()
+            inner, post = ret[1].inner, reduce(linsolve.mat_mul, posts)
+            post = from_linear(post, inner.source, inner.target, 1, inner.mode)
+            ret = (reduce(linsolve.mat_mul, pres), Powers(post, ret[1].cap))
+        out.append((cycle, steps, ret))
     return out
 
 
-def _sparse_mul(a_rows, b_rows):
-    """a . b on sparse rows; each entry accumulates over the inner index in
-    increasing order."""
-    out = []
-    for row in a_rows:
-        acc: dict = {}
-        for k, a in row:
-            for j, b in b_rows[k]:
-                w = acc.get(j)
-                acc[j] = a * b if w is None else w + a * b
-        out.append([(j, acc[j]) for j in sorted(acc) if acc[j]])
-    return out
+def _i_minus_m(span: _SolveSpan, pre, powers: Powers) -> list[dict]:
+    """Rows {column: entry} of I - M on the span, for M the conjugation
+    R -> pre . R o post by a return pair."""
+    one, zero = powers.inner.mode.one, powers.inner.mode.zero
+    rows = [{i: one} for i in range(len(span.keys))]
+    for col, key in enumerate(span.keys):
+        for i, w in span.conjugate({key: one}, pre, powers):
+            rows[i][col] = (one if i == col else zero) - w
+    return [{k: w for k, w in row.items() if w} for row in rows]
 
 
 class _CycleSystem:
     """Fixed points of h_j = A_j h_{j+1} + b_j (pull) or h_{j+1} = A_j h_j + b_j
-    (push) around one cycle, indices mod the cycle length q.
+    (push) around one cycle, indices mod the cycle length q, where A_j is
+    the conjugation R -> pre_j . R o post_j on the span by the j-th step
+    pair (pre matrix, power table of post).
 
-    Once around, h_0 = M h_0 + c.  The steps A_j (sparse rows) and the
-    elimination of I - M do not depend on the b_j, so they are set up once;
-    each solve accumulates c in Horner form, solves for h_0 and steps
-    around the cycle.
+    Once around, h_0 = M h_0 + c, with M the conjugation by the return
+    pair.  The elimination of I - M does not depend on the b_j, so it is
+    set up once; each solve accumulates c in Horner form, solves for h_0
+    and steps around the cycle.
     """
 
-    __slots__ = ("rows", "pull", "zero", "order", "system")
+    __slots__ = ("steps", "span", "pull", "order", "system")
 
-    def __init__(self, rows, one, pull: bool):
-        self.rows, self.pull, self.zero = rows, pull, one * 0
-        q = len(rows)
+    def __init__(self, steps, ret, span: _SolveSpan, pull: bool):
+        self.steps, self.span, self.pull = steps, span, pull
+        q = len(steps)
         # pull: M = A_0 (A_1 (... A_{q-1})), c = b_0 + A_0 (b_1 + ... A_{q-2} b_{q-1});
         # push: M = A_{q-1} (... (A_1 A_0)), c = b_{q-1} + A_{q-1} (... + A_1 b_0)
         self.order = list(range(q - 1, -1, -1)) if pull else list(range(q))
-        m = rows[self.order[0]]
-        for j in self.order[1:]:
-            m = _sparse_mul(rows[j], m)
-        zero = self.zero
-        i_minus_m = []
-        for i, row in enumerate(m):
-            entries = {i: one}
-            for k, v in row:
-                entries[k] = (one if k == i else zero) - v
-            i_minus_m.append({k: w for k, w in entries.items() if w})
-        self.system = linsolve.Elimination.of_rows(i_minus_m, zero)
+        self.system = linsolve.Elimination.of_rows(_i_minus_m(span, *ret), ret[1].inner.mode)
 
     def _step(self, j, vec, rhs):
-        return [u + v for u, v in zip(_sparse_vec(self.rows[j], vec, self.zero), rhs[j])]
+        pre, powers = self.steps[j]
+        out = list(rhs[j])
+        coeffs = {k: v for k, v in zip(self.span.keys, vec) if v}
+        for i, w in self.span.conjugate(coeffs, pre, powers):
+            out[i] = w + out[i]
+        return out
 
     def solve(self, rhs):
         """Per-point solutions h_0, ..., h_{q-1} for the inhomogeneities b_j."""
@@ -220,86 +255,35 @@ class _CycleSystem:
             c = self._step(j, c, rhs)
         out = [None] * q
         out[0] = self.system.solve(c)
-        if self.pull:
-            for j in range(q - 1, 0, -1):
-                out[j] = self._step(j, out[(j + 1) % q], rhs)
-        else:
-            for j in range(q - 1):
-                out[j + 1] = self._step(j, out[j], rhs)
+        # pull: h_j from h_{j+1}, j = q-1, ..., 1; push: h_{j+1} from h_j, j = 0, ..., q-2
+        for j in self.order[:-1]:
+            src, dst = ((j + 1) % q, j) if self.pull else (j, j + 1)
+            out[dst] = self._step(j, out[src], rhs)
         return out
 
 
-def _cycle_systems(base: FiniteBase, ops, one, pull: bool, what: str):
-    """(cycle, system) for every base cycle; `ops` holds each base point's
-    operator rows."""
+def _cycle_systems(cycles, span: _SolveSpan, pull: bool):
+    """(cycle, system) for every (cycle, steps, return pair) of `cycles`."""
     systems = []
-    for cycle in base.cycles:
+    for cycle, steps, ret in cycles:
         try:
-            systems.append((cycle, _CycleSystem([ops[x] for x in cycle], one, pull)))
+            systems.append((cycle, _CycleSystem(steps, ret, span, pull)))
         except linsolve.SingularMatrix as err:
-            raise BuildError(f"singular {what}, cycle {cycle}") from err
+            what = "cycle solve" if pull else "reduction solve"
+            raise BuildError(f"singular {what} at degree {span.degree}, cycle {cycle}") from err
     return systems
 
 
-def _solve_cycles(systems, rhs):
-    """Per-point solutions of every cycle system; `rhs` is indexed by base
-    point."""
-    out = [None] * len(rhs)
+def _solve_on(span: _SolveSpan, systems, polys: Sequence[PolyMap]) -> list[PolyMap]:
+    """Solve every cycle system on the span with the right-hand side at
+    base point x read off `polys[x]`; the solutions as degree-n maps."""
+    dims, mode, keys = polys[0].source, polys[0].mode, span.keys
+    out = [None] * len(polys)
     for cycle, system in systems:
-        for x, vec in zip(cycle, system.solve([rhs[x] for x in cycle])):
-            out[x] = vec
+        rhs = [[polys[x].coeffs.get(k, mode.zero) for k in keys] for x in cycle]
+        for x, sol in zip(cycle, system.solve(rhs)):
+            out[x] = PolyMap._trusted(dims, dims, span.degree, mode, dict(zip(keys, sol)))
     return out
-
-
-def _operator_rows(keys, index, pre, powers: Powers, spec, guard):
-    """Sparse rows of the matrix of R -> pre . R o post on span(keys), one
-    column per key: row i lists its nonzero (column, entry) pairs by column.
-
-    `pre` is a matrix and `powers` the power table of the linear map post.
-    Image terms outside `keys` whose class lies in `guard` must vanish (by
-    the mode's test, relative to the size of the image): the operator has
-    to preserve the solve subspace.
-    """
-    dims, mode = powers.inner.source, powers.inner.mode
-    # the nonzero (row, entry) pairs of each column of pre
-    pre_cols = [[(r, m) for r, m in enumerate(column) if m] for column in zip(*pre)]
-    rows: list[list] = [[] for _ in keys]
-    for col, (c, exps) in enumerate(keys):
-        img = {}
-        pre_col = pre_cols[c]
-        for e, v in powers.part(exps, None):
-            for r, m in pre_col:
-                w = m * v
-                if w:
-                    img[(r, e)] = w
-        leaked = []
-        for k, w in img.items():
-            pos = index.get(k)
-            if pos is not None:
-                rows[pos].append((col, w))
-            elif spec.type_class(dims.block_of[k[0]], dims.block_degrees(k[1])) in guard:
-                leaked.append(w)
-        if leaked and not mode.vanishes(leaked, max(map(abs, img.values()))):
-            raise BuildError("conjugation left its solve subspace")
-    return rows
-
-
-def _solve_on(systems, keys, index, polys: Sequence[PolyMap], degree) -> list[PolyMap]:
-    """Solve every cycle system with the right-hand side at base point x
-    read off `polys[x]` on span(keys); the solutions as degree-n maps."""
-    dims, mode = polys[0].source, polys[0].mode
-    rhs = []
-    for poly in polys:
-        vec = [mode.zero] * len(keys)
-        for key, value in poly.coeffs.items():
-            pos = index.get(key)
-            if pos is not None:
-                vec[pos] = value
-        rhs.append(vec)
-    return [
-        PolyMap._trusted(dims, dims, degree, mode, dict(zip(keys, sol)))
-        for sol in _solve_cycles(systems, rhs)
-    ]
 
 
 def _defects(h, fixed_powers, normal, base: FiniteBase, degree) -> list[PolyMap]:
@@ -471,7 +455,7 @@ class TaylorPlan:
     fiber_powers: list[Powers]
     lin_powers: list[Powers]
     certified_exponents: dict[int, Fraction]
-    # degree -> (solve keys, key index, [(cycle, _CycleSystem)])
+    # degree -> (solve span, [(cycle, _CycleSystem)])
     systems: dict[int, tuple]
 
 
@@ -482,8 +466,8 @@ def plan_taylor(
     its Taylor build up to degree N.
 
     Refuses to run when validation fails, unless `force` is set.  Each
-    degree's operator rows are assembled once per base point over its whole
-    non-sub-resonance basis, so no image term leaves the solve subspace.
+    degree's solve keys are its whole non-sub-resonance basis, so no image
+    term leaves the solve subspace.
     """
     alpha = Fraction(alpha)
     validation = validate_extension(ext, spec, n_taylor, alpha)
@@ -499,8 +483,10 @@ def plan_taylor(
     diagonal = _all_block_diagonal(mats, dims)
 
     # A linear map's images are homogeneous, so one table per point at cap
-    # N serves every degree's operator rows and every solve's hn o L.
+    # N serves every degree's conjugation steps and every solve's hn o L.
     lin_powers = [Powers(lin_polys[x], n_taylor) for x in range(p)]
+    # the pull step at x: R -> L_x^{-1} . R o L_x
+    cycles = _cycle_maps(base, list(zip(invs, lin_powers)), True)
     certified_exponents: dict[int, Fraction] = {}
     systems: dict[int, tuple] = {}
     for degree in range(2, n_taylor + 1):
@@ -519,16 +505,8 @@ def plan_taylor(
             # never pivots or updates across types, and they fix the order
             # of the solutions and so of the terms of every solved map.
             keys.sort(key=lambda k: (dims.block_of[k[0]], dims.block_degrees(k[1])))
-        index = {k: i for i, k in enumerate(keys)}
-        ops = [
-            _operator_rows(keys, index, invs[x], lin_powers[x], spec, _NON_SUB)
-            for x in range(p)
-        ]
-        systems[degree] = (
-            keys,
-            index,
-            _cycle_systems(base, ops, ext.mode.one, True, f"cycle solve at degree {degree}"),
-        )
+        span = _SolveSpan(keys, degree, spec, _NON_SUB)
+        systems[degree] = (span, _cycle_systems(cycles, span, True))
 
     return TaylorPlan(
         ext=ext,
@@ -564,9 +542,9 @@ def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFo
     fiber_powers, lin_powers = plan.fiber_powers, plan.lin_powers
     for degree in range(2, n_taylor + 1):
         rn = _defects(h, fiber_powers, p_poly, base, degree)
-        keys, index, systems = plan.systems[degree]
+        span, systems = plan.systems[degree]
         pulled = [left_linear(invs[x], rn[x]) for x in range(p)]
-        hbar = _solve_on(systems, keys, index, pulled, degree)
+        hbar = _solve_on(span, systems, pulled)
         zero = zero_map(dims, dims, degree, mode)
         hn = [hbar[x].add(sections.get((x, degree), zero)) for x in range(p)]
 
@@ -622,9 +600,9 @@ def build_taylor(
     The build is `plan_taylor` then `solve_taylor`.  Only the sub-resonance
     sections depend on the lift; the validation, the linear data, the
     fiber power tables, the solve keys and certified exponents of every
-    degree, and the cycle systems (operator rows and the elimination of
-    I - M) do not.  They make up the plan kept on the result, on which
-    `NormalFormResult.rebuild` solves other lifts.
+    degree, and the cycle systems (each the elimination of I - M for its
+    cycle's return-map operator M) do not.  They make up the plan kept on
+    the result, on which `NormalFormResult.rebuild` solves other lifts.
     """
     plan = plan_taylor(ext, spec, n_taylor, alpha, force=force)
     return solve_taylor(plan, lift)
@@ -693,7 +671,7 @@ def reduce_family(
     )
     d_mats = [_block_diag_part(m, dims) for m in a_mats]
     # One power table per fixed inner map, read at every degree and by the
-    # backward operator rows.  P's serves the final check at d*d too; the
+    # backward conjugation steps.  P's serves the final check at d*d too; the
     # images of linear maps are homogeneous, so cap d keeps all of them.
     p_powers = [Powers(g.poly, d * d) for g in p_elems]
     a_powers = [Powers(a, d) for a in a_polys]
@@ -702,25 +680,24 @@ def reduce_family(
     sections = _lift_table(lift, spec, dims, mode, base.p, d, res_only)
     certified_exponents: dict[int, Fraction] = {}
 
-    def backward_systems(keys, index, degree):
-        ops = [
-            _operator_rows(keys, index, d_mats[x], a_inv_powers[x], spec, _LEAVES_STRICT)
-            for x in range(base.p)
-        ]
-        return _cycle_systems(base, ops, mode.one, False, f"reduction solve at degree {degree}")
+    # the push step at x: R -> D_x . R o A_x^{-1}
+    cycles = _cycle_maps(base, list(zip(d_mats, a_inv_powers)), False)
+
+    def backward_solve(keys, degree, rhs):
+        span = _SolveSpan(keys, degree, spec, _LEAVES_STRICT)
+        return _solve_on(span, _cycle_systems(cycles, span, False), rhs)
 
     # Degree 1: strip the strict flag-triangular part of the linear term.
     ss1 = class_basis(spec, dims, 1, {TypeClass.STRICT_SUB})
     h1 = [zero_map(dims, dims, 1, mode) for _ in range(base.p)]
     if ss1 and not _all_block_diagonal(a_mats, dims):
         certified_exponents[1] = _certified_exponent(spec, dims, ss1, "backward")
-        index = {k: i for i, k in enumerate(ss1)}
         rhs = []
         for x in range(base.p):
             u = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(a_mats[x], d_mats[x])]
             u_poly = from_linear(u, dims, dims, 1, mode)
             rhs.append(compose_part(u_poly.scale(-1), a_inv_powers[x], 1))
-        h1 = _solve_on(backward_systems(ss1, index, 1), ss1, index, rhs, 1)
+        h1 = backward_solve(ss1, 1, rhs)
 
     h_prime = [identity_map(dims, d, mode).add(h1[x]) for x in range(base.p)]
     p_res = [from_linear(d_mats[x], dims, dims, 1, mode).jet(1) for x in range(base.p)]
@@ -744,7 +721,6 @@ def reduce_family(
 
         h_n = [zero] * base.p
         if ss:
-            index = {k: i for i, k in enumerate(ss)}
             rhs = []
             for x in range(base.p):
                 fx = base.image(x)
@@ -759,7 +735,7 @@ def reduce_family(
                 correction = compose_part(rho, g1_powers[x], degree).sub(rho)
                 c_poly = correction.sub(project(w_known, spec, {TypeClass.STRICT_SUB}))
                 rhs.append(compose_part(c_poly, a_inv_powers[x], degree))
-            h_n = _solve_on(backward_systems(ss, index, degree), ss, index, rhs, degree)
+            h_n = backward_solve(ss, degree, rhs)
 
         for x in range(base.p):
             h_prime[x] = h_prime[x].add(deltas[x]).add(h_n[x])

@@ -491,13 +491,15 @@ class Powers:
             raise ValueError("composition shape mismatch")
         top = self.cap if n is None else n
         acc: dict = {}
+        get, parts = acc.get, self._parts
         for (coord, exps), value in outer.coeffs.items():
             # no constant terms: an outer monomial only reaches its degree and up
             if sum(exps) > top:
                 continue
-            for e_out, v in self.part(exps, n):
+            terms = parts.get((exps, n))
+            for e_out, v in self.part(exps, n) if terms is None else terms:
                 key = (coord, e_out)
-                w = acc.get(key)
+                w = get(key)
                 acc[key] = value * v if w is None else w + value * v
         return PolyMap._trusted(inner.source, outer.target, top, outer.mode, acc)
 
@@ -583,13 +585,16 @@ def left_linear(matrix, pmap: PolyMap, target: GradedDims | None = None) -> Poly
     """Compose a linear map (as a matrix) with a PolyMap on the left."""
     target = target or pmap.target
     acc: dict = {}
+    columns: dict = {}  # the nonzero (row, entry) pairs of each column read
     for (coord, exps), value in pmap.coeffs.items():
-        for r in range(len(matrix)):
-            m = matrix[r][coord]
-            if m:
-                key = (r, exps)
-                w = acc.get(key)
-                acc[key] = m * value if w is None else w + m * value
+        column = columns.get(coord)
+        if column is None:
+            column = [(r, row[coord]) for r, row in enumerate(matrix) if row[coord]]
+            columns[coord] = column
+        for r, m in column:
+            key = (r, exps)
+            w = acc.get(key)
+            acc[key] = m * value if w is None else w + m * value
     return PolyMap._trusted(pmap.source, target, pmap.cap, pmap.mode, acc)
 
 

@@ -61,13 +61,14 @@ def _witness(maps, spec, tag) -> TransitionWitness:
     )
 
 
+def _transitions(maps_a, maps_b, d: int) -> tuple[PolyMap, ...]:
+    """Degree-d jets of a_x composed with the inverse of b_x, per point."""
+    return tuple(compose(a, invert(b, d), d) for a, b in zip(maps_a, maps_b))
+
+
 def transition_jets(nf_a: NormalFormResult, nf_b: NormalFormResult) -> tuple[PolyMap, ...]:
     """Degree-d jets of H_a_x composed with the inverse of H_b_x."""
-    d = degree_bound(nf_a.spec)
-    out = []
-    for h_a, h_b in zip(nf_a.h_taylor, nf_b.h_taylor):
-        out.append(compose(h_a, invert(h_b, d), d))
-    return tuple(out)
+    return _transitions(nf_a.h_taylor, nf_b.h_taylor, degree_bound(nf_a.spec))
 
 
 def check_uniqueness(nf_a: NormalFormResult, nf_b: NormalFormResult) -> TransitionWitness:
@@ -95,9 +96,7 @@ def check_uniqueness_resonance(
     if not _same_instance(nf_a.ext, nf_b.ext) or nf_a.spec != nf_b.spec:
         raise VerifyError("inputs", "builds come from different instances")
     d = degree_bound(nf_a.spec)
-    maps = []
-    for h_a, h_b in zip(full_changes(nf_a, red_a), full_changes(nf_b, red_b)):
-        maps.append(compose(h_a, invert(h_b, d), d))
+    maps = _transitions(full_changes(nf_a, red_a), full_changes(nf_b, red_b), d)
     return _witness(maps, nf_a.spec, "resonance")
 
 

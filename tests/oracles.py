@@ -435,7 +435,6 @@ def reduce_family_reference(base, spec, p_elems, lift=None):
     dims = p_elems[0].dims
     mode = p_elems[0].poly.mode
     d = degree_bound(spec)
-    one = Fraction(1) if mode == "rational" else 1.0
     res_only = frozenset({TypeClass.RESONANCE})
     strict = frozenset({TypeClass.STRICT_SUB})
     leaves = frozenset({TypeClass.RESONANCE, TypeClass.NON_SUB})
@@ -444,24 +443,21 @@ def reduce_family_reference(base, spec, p_elems, lift=None):
     d_mats = [nfm._block_diag_part(m, dims) for m in a_mats]
     sections = SectionSourceReference(lift, spec, dims, mode, base.p, d, classes=res_only)
 
-    def backward_systems(keys, index, degree):
-        ops = [
-            nfm._operator_rows(keys, index, dm, Powers(a_inv, degree), spec, leaves)
-            for dm, a_inv in zip(d_mats, a_inv_polys)
-        ]
-        return nfm._cycle_systems(base, ops, one, False, "reduction")
+    def backward_solve(keys, degree, rhs):
+        pairs = [(dm, Powers(a_inv, degree)) for dm, a_inv in zip(d_mats, a_inv_polys)]
+        cycles = nfm._cycle_maps(base, pairs, False)
+        span = nfm._SolveSpan(keys, degree, spec, leaves)
+        return nfm._solve_on(span, nfm._cycle_systems(cycles, span, False), rhs)
 
     ss1 = class_basis(spec, dims, 1, strict)
     h1 = [zero_map(dims, dims, 1, mode) for _ in range(base.p)]
     if ss1 and not nfm._all_block_diagonal(a_mats, dims):
-        index = {k: i for i, k in enumerate(ss1)}
-        systems = backward_systems(ss1, index, 1)
         rhs = []
         for x in range(base.p):
             u = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(a_mats[x], d_mats[x])]
             u_poly = from_linear(u, dims, dims, 1, mode)
             rhs.append(compose(u_poly.scale(-1), a_inv_polys[x], 1))
-        h1 = nfm._solve_on(systems, ss1, index, rhs, 1)
+        h1 = backward_solve(ss1, 1, rhs)
 
     h_prime = [identity_map(dims, d, mode).add(h1[x]) for x in range(base.p)]
     p_res = [from_linear(d_mats[x], dims, dims, 1, mode).jet(1) for x in range(base.p)]
@@ -480,8 +476,6 @@ def reduce_family_reference(base, spec, p_elems, lift=None):
 
         h_n = [zero_map(dims, dims, degree, mode) for _ in range(base.p)]
         if ss:
-            index = {k: i for i, k in enumerate(ss)}
-            systems = backward_systems(ss, index, degree)
             rhs = []
             for x in range(base.p):
                 fx = base.image(x)
@@ -492,7 +486,7 @@ def reduce_family_reference(base, spec, p_elems, lift=None):
                 correction = compose(rho, g1_polys[x], degree).sub(rho)
                 c_poly = correction.sub(project(w_known, spec, strict))
                 rhs.append(compose(c_poly, a_inv_polys[x], degree))
-            h_n = nfm._solve_on(systems, ss, index, rhs, degree)
+            h_n = backward_solve(ss, degree, rhs)
 
         for x in range(base.p):
             h_prime[x] = h_prime[x].add(deltas[x]).add(h_n[x])
@@ -511,36 +505,32 @@ def reduce_family_reference(base, spec, p_elems, lift=None):
 def per_group_cycle_solutions(plan, degree, rhs):
     """The Taylor build's cycle solves at one degree, group by group, as
     the build plan set them up before it stacked the invariant groups into
-    one system per cycle: every group gets its own operator rows, on a
-    linear power table of cap `degree`, and its own cycle systems.
+    one system per cycle: every group gets its own solve span, on linear
+    power tables of cap `degree`, and its own cycle systems.
     `rhs[x]` maps each solve key to its value at base point x; the
-    solutions come back in the same form, groups in order."""
+    nonzero solutions come back in the same form, groups in order."""
     from nsnf import normal_form as nfm
-    from nsnf.polymap import Powers, class_basis
+    from nsnf.polymap import PolyMap, Powers, class_basis
     from nsnf.spectrum import TypeClass
 
     ext, spec = plan.ext, plan.spec
     dims, p = ext.dims, ext.base.p
-    one = Fraction(1) if ext.mode == "rational" else 1.0
     non_sub = frozenset({TypeClass.NON_SUB})
     keys = class_basis(spec, dims, degree, non_sub)
     diagonal = nfm._all_block_diagonal(plan.mats, dims)
-    lin_powers = [Powers(plan.lin_polys[x], degree) for x in range(p)]
+    pairs = [(plan.invs[x], Powers(plan.lin_polys[x], degree)) for x in range(p)]
+    cycles = nfm._cycle_maps(ext.base, pairs, True)
     out = [{} for _ in range(p)]
     groups: dict[tuple, list] = {}
     for c, exps in keys:
         label = (dims.block_of[c], dims.block_degrees(exps)) if diagonal else ()
         groups.setdefault(label, []).append((c, exps))
     for group in (groups[label] for label in sorted(groups)):
-        index = {k: i for i, k in enumerate(group)}
-        ops = [
-            nfm._operator_rows(group, index, plan.invs[x], lin_powers[x], spec, non_sub)
-            for x in range(p)
-        ]
-        systems = nfm._cycle_systems(ext.base, ops, one, True, "per-group solve")
-        sols = nfm._solve_cycles(systems, [[rhs[x][k] for k in group] for x in range(p)])
-        for x in range(p):
-            out[x].update(zip(group, sols[x]))
+        span = nfm._SolveSpan(group, degree, spec, non_sub)
+        systems = nfm._cycle_systems(cycles, span, True)
+        polys = [PolyMap._trusted(dims, dims, degree, ext.mode, rhs[x]) for x in range(p)]
+        for x, sol in enumerate(nfm._solve_on(span, systems, polys)):
+            out[x].update(sol.coeffs)
     return out
 
 
@@ -571,3 +561,72 @@ def grid_expansions(ext):
                 if not math.sqrt(sum(v * v for v in image)) <= ext.xi * radius:
                     lines.append(f"point {x}: sampled expansion at radius {radius:.4g}")
     return lines
+
+
+def operator_rows_reference(keys, index, pre, powers, spec, guard):
+    """A frozen copy of the per-point operator rows the cycle systems were
+    built from before they conjugated by the return maps: sparse rows of
+    the matrix of R -> pre . R o post on span(keys), one column per key,
+    row i listing its nonzero (column, entry) pairs by column.  `pre` is a
+    matrix and `powers` the power table of the linear map post; image terms
+    outside `keys` whose class lies in `guard` must vanish."""
+    from nsnf.normal_form import BuildError
+
+    dims, mode = powers.inner.source, powers.inner.mode
+    pre_cols = [[(r, m) for r, m in enumerate(column) if m] for column in zip(*pre)]
+    rows = [[] for _ in keys]
+    for col, (c, exps) in enumerate(keys):
+        img = {}
+        for e, v in powers.part(exps, None):
+            for r, m in pre_cols[c]:
+                w = m * v
+                if w:
+                    img[(r, e)] = w
+        leaked = []
+        for k, w in img.items():
+            pos = index.get(k)
+            if pos is not None:
+                rows[pos].append((col, w))
+            elif spec.type_class(dims.block_of[k[0]], dims.block_degrees(k[1])) in guard:
+                leaked.append(w)
+        if leaked and not mode.vanishes(leaked, max(map(abs, img.values()))):
+            raise BuildError("conjugation left its solve subspace")
+    return rows
+
+
+def sparse_mul_reference(a_rows, b_rows):
+    """A frozen copy of the sparse product of per-point operator rows:
+    a . b, each entry accumulated over the inner index in increasing
+    order."""
+    out = []
+    for row in a_rows:
+        acc = {}
+        for k, a in row:
+            for j, b in b_rows[k]:
+                w = acc.get(j)
+                acc[j] = a * b if w is None else w + a * b
+        out.append([(j, acc[j]) for j in sorted(acc) if acc[j]])
+    return out
+
+
+def i_minus_m_reference(pairs, keys, spec, guard, pull):
+    """Rows {column: entry} of I - M for one cycle, assembled as the cycle
+    systems did before they conjugated by the return maps: every point's
+    operator rows (`operator_rows_reference` on its pair (pre matrix, post
+    power table)), multiplied around the cycle with `sparse_mul_reference`
+    into M = A_0 (A_1 (... A_{q-1})) (pull) or A_{q-1} (... (A_1 A_0))
+    (push)."""
+    index = {k: i for i, k in enumerate(keys)}
+    ops = [operator_rows_reference(keys, index, pre, pw, spec, guard) for pre, pw in pairs]
+    order = list(range(len(ops) - 1, -1, -1)) if pull else list(range(len(ops)))
+    m = ops[order[0]]
+    for j in order[1:]:
+        m = sparse_mul_reference(ops[j], m)
+    one, zero = pairs[0][1].inner.mode.one, pairs[0][1].inner.mode.zero
+    out = []
+    for i, row in enumerate(m):
+        entries = {i: one}
+        for k, v in row:
+            entries[k] = (one if k == i else zero) - v
+        out.append({k: w for k, w in entries.items() if w})
+    return out

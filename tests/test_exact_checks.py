@@ -134,10 +134,10 @@ def test_residue_check_catches_a_wrong_solve(monkeypatch):
     d = degree_bound(SPEC21)
     solve_on = normal_form._solve_on
 
-    def off_by_tiny(systems, keys, index, polys, degree):
-        out = solve_on(systems, keys, index, polys, degree)
-        if degree > d:
-            out[0] = _nudged(out[0], keys[0])
+    def off_by_tiny(span, systems, polys):
+        out = solve_on(span, systems, polys)
+        if span.degree > d:
+            out[0] = _nudged(out[0], span.keys[0])
         return out
 
     monkeypatch.setattr(normal_form, "_solve_on", off_by_tiny)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nsnf import linsolve
+from nsnf.scalars import FLOAT, RATIONAL, of_values
 
 from oracles import solve_columns_reference
 
@@ -134,14 +135,14 @@ def _check_sparse(a, b):
     zeros = sum(1 for row in a for v in row if not v) / len(a) ** 2
     assert 0.7 <= zeros <= 0.95
     _check_against_reference(a, b)
-    zero = a[0][0] * 0
+    scalars = of_values(v for row in a for v in row)
     try:
         expected = solve_columns_reference(a, b)
     except linsolve.SingularMatrix:
         with pytest.raises(linsolve.SingularMatrix):
-            linsolve.Elimination.of_rows(_sparse_rows(a), zero)
+            linsolve.Elimination.of_rows(_sparse_rows(a), scalars)
         return
-    elim = linsolve.Elimination.of_rows(_sparse_rows(a), zero)
+    elim = linsolve.Elimination.of_rows(_sparse_rows(a), scalars)
     assert _bits(elim.solve_columns(b)) == _bits(expected)
 
 
@@ -158,8 +159,8 @@ def test_float_sparse_matches_reference(system):
 def test_fill_in_that_cancels_is_not_a_pivot():
     # eliminating column 0 cancels entry (1, 1) to exactly zero, so the
     # pivot of column 1 comes from row 2 by a swap
-    for one in (F(1), 1.0):
-        zero = one * 0
+    for scalars in (RATIONAL, FLOAT):
+        one, zero = scalars.one, scalars.zero
         a = [
             [one, one, zero, zero],
             [one, one, one, zero],
@@ -169,14 +170,14 @@ def test_fill_in_that_cancels_is_not_a_pivot():
         b = [[one], [zero], [one + one], [-one]]
         expected = solve_columns_reference(a, b)
         assert _bits(linsolve.Elimination(a).solve_columns(b)) == _bits(expected)
-        elim = linsolve.Elimination.of_rows(_sparse_rows(a), zero)
+        elim = linsolve.Elimination.of_rows(_sparse_rows(a), scalars)
         assert elim.steps[1][0] == 2
         assert _bits(elim.solve_columns(b)) == _bits(expected)
 
 
 def test_sparse_singular_refused_when_recorded():
-    for one in (F(1), 1.0):
-        zero = one * 0
+    for scalars in (RATIONAL, FLOAT):
+        one, zero = scalars.one, scalars.zero
         # row 3 is row 0 + row 1: its elimination leaves column 3 empty
         a = [
             [one, zero, zero, one, zero],
@@ -190,4 +191,4 @@ def test_sparse_singular_refused_when_recorded():
         with pytest.raises(linsolve.SingularMatrix):
             linsolve.Elimination(a)
         with pytest.raises(linsolve.SingularMatrix):
-            linsolve.Elimination.of_rows(_sparse_rows(a), zero)
+            linsolve.Elimination.of_rows(_sparse_rows(a), scalars)

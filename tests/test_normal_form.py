@@ -13,6 +13,7 @@ import pytest
 from nsnf import cli, linsolve
 from nsnf import normal_form as nfm
 from nsnf.base import Extension, FiniteBase
+from nsnf.instance import load_instance
 from nsnf.normal_form import (
     BuildRefused,
     build_taylor,
@@ -53,6 +54,7 @@ from oracles import (
     cycle_operator,
     degree2_cocycle_data,
     doubled_cycle_pull_solution,
+    i_minus_m_reference,
     invert_reference,
     lift_table_reference,
     per_group_cycle_solutions,
@@ -147,17 +149,26 @@ def test_dense_solve_matches_grouped(monkeypatch):
     assert grouped.p_normal == dense.p_normal
 
 
+def _t2_squared_span():
+    """The solve span of the single key t2^2 -> coordinate 1, guarded
+    against NON_SUB terms outside it."""
+    return nfm._SolveSpan([(1, (0, 2))], 2, SPEC21, nfm._NON_SUB)
+
+
+def _mixing_pair(mode, mixing, scale=1):
+    """(pre, post power table) for pre = scale times the identity and a
+    post map that mixes t1 into t2."""
+    one = F(1) if mode == RATIONAL else 1.0
+    post = from_linear([[one, one * 0], [mixing, one]], D11, D11, 1, mode)
+    return [[one * scale, one * 0], [one * 0, one * scale]], Powers(post, 2)
+
+
 def _t2_squared_operator(mode, mixing):
     """Operator on the single key t2^2 -> coordinate 1, conjugated by a post
     map that mixes t1 into t2; the image leaks into other NON_SUB groups."""
-    group = [(1, (0, 2))]
-    one = F(1) if mode == RATIONAL else 1.0
-    post = from_linear([[one, one * 0], [mixing, one]], D11, D11, 1, mode)
-    pre = [[one, one * 0], [one * 0, one]]
-    index = {k: i for i, k in enumerate(group)}
-    guard = {TypeClass.NON_SUB}
-    rows = nfm._operator_rows(group, index, pre, Powers(post, 2), SPEC21, guard)
-    return [[w for _, w in row] for row in rows]
+    span = _t2_squared_span()
+    pre, powers = _mixing_pair(mode, mixing)
+    return [[w for _, w in span.conjugate({span.keys[0]: pre[0][0]}, pre, powers)]]
 
 
 def test_operator_guard_rejects_leaving_the_group():
@@ -171,6 +182,22 @@ def test_operator_guard_rejects_leaving_the_group():
     assert _t2_squared_operator(FLOAT, 1e-12) == [[1.0]]
 
 
+@pytest.mark.parametrize("mode, mixing", [(RATIONAL, F(1, 10**30)), (FLOAT, 1e-6)])
+def test_guard_catches_a_leak_that_cancels_around_the_cycle(mode, mixing):
+    # Two points mix t1 into t2 by +m and -m, so the return map is the
+    # identity and M = (1/2)^2 on t2^2 leaks nothing; each point's own
+    # conjugation leaks, and every solve step is guarded.
+    span = _t2_squared_span()
+    pairs = [_mixing_pair(mode, mixing, F(1, 2)), _mixing_pair(mode, -mixing, F(1, 2))]
+    one = F(1) if mode == RATIONAL else 1.0
+    for pull in (True, False):
+        ((_, steps, ret),) = nfm._cycle_maps(FiniteBase([1, 0]), pairs, pull)
+        system = nfm._CycleSystem(steps, ret, span, pull)
+        assert system.solve([[one * 0], [one * 0]]) == [[one * 0], [one * 0]]
+        with pytest.raises(nfm.BuildError, match="solve subspace"):
+            system.solve([[one], [one]])
+
+
 # Three non-diagonal rational steps with zeros in them, and their inhomogeneities.
 CYCLE_MATS = [
     [[F(1, 2), F(1, 3), F(0)], [F(0), F(-1, 4), F(2, 5)], [F(1, 7), F(0), F(1, 3)]],
@@ -178,6 +205,7 @@ CYCLE_MATS = [
     [[F(2, 3), F(0), F(-1, 9)], [F(1, 8), F(1, 2), F(0)], [F(0), F(-1, 5), F(1, 4)]],
 ]
 CYCLE_RHS = [[F(1), F(-2, 3), F(0)], [F(0), F(5, 7), F(1, 2)], [F(-1, 4), F(0), F(3)]]
+SPEC3 = SpectrumSpec([F(-1)], F(1, 5))
 
 
 def _oracle_pull(mats, rhs):
@@ -193,24 +221,73 @@ def _oracle_pull(mats, rhs):
     return out
 
 
-def _rows(mats):
-    """Sparse rows of each matrix, the form the cycle kernel takes."""
-    return [[[(k, v) for k, v in enumerate(row) if v] for row in m] for m in mats]
+def _cycle_system(mats, pull):
+    """The cycle system whose steps are the matrices: each pre matrix acts
+    on the linear t1-terms of the three coordinates, post is the identity."""
+    dims = GradedDims([3])
+    keys = [(c, (1, 0, 0)) for c in range(3)]
+    span = nfm._SolveSpan(keys, 1, SPEC3, nfm._NON_SUB)
+    post = Powers(identity_map(dims, 1, RATIONAL), 1)
+    base = FiniteBase(list(range(1, len(mats))) + [0])
+    ((_, steps, ret),) = nfm._cycle_maps(base, [(m, post) for m in mats], pull)
+    return nfm._CycleSystem(steps, ret, span, pull)
 
 
 def test_sparse_cycle_solve_matches_oracle():
-    pulled = nfm._CycleSystem(_rows(CYCLE_MATS), F(1), True).solve(CYCLE_RHS)
+    pulled = _cycle_system(CYCLE_MATS, True).solve(CYCLE_RHS)
     assert pulled == _oracle_pull(CYCLE_MATS, CYCLE_RHS)
     # push h_{j+1} = A_j h_j + b_j is the pull relation read backwards:
     # g_k = h_{-k} satisfies g_k = A_{-k-1} g_{k+1} + b_{-k-1}
     q = len(CYCLE_MATS)
     order = [(-k - 1) % q for k in range(q)]
     backward = _oracle_pull([CYCLE_MATS[j] for j in order], [CYCLE_RHS[j] for j in order])
-    pushed = nfm._CycleSystem(_rows(CYCLE_MATS), F(1), False).solve(CYCLE_RHS)
+    pushed = _cycle_system(CYCLE_MATS, False).solve(CYCLE_RHS)
     assert pushed == [backward[-j % q] for j in range(q)]
     for j in range(q):
         step = linsolve.mat_vec(CYCLE_MATS[j], pushed[j])
         assert pushed[(j + 1) % q] == [u + v for u, v in zip(step, CYCLE_RHS[j])]
+
+
+def _checked_return_operators(monkeypatch, cases):
+    """Build and reduce every (ext, spec, n, alpha) case, recording each
+    cycle system set up on the way, and check that its I - M from the
+    return maps equals the product of per-point operator rows exactly.
+    Returns the (pull, long cycle) kinds of the checked systems."""
+    seen, real = [], nfm._cycle_systems
+
+    def recording(cycles, span, pull):
+        seen.extend((steps, ret, span, pull) for _, steps, ret in cycles)
+        return real(cycles, span, pull)
+
+    monkeypatch.setattr(nfm, "_cycle_systems", recording)
+    for ext, spec, n, alpha in cases:
+        resonance_reduce(build_taylor(ext, spec, n, alpha, force=True))
+    for steps, ret, span, pull in seen:
+        want = i_minus_m_reference(steps, span.keys, span.spec, span.guard, pull)
+        assert nfm._i_minus_m(span, *ret) == want
+    # pull systems come from the Taylor plan, push ones from the reduction
+    return {(pull, len(steps) > 1) for steps, _, _, pull in seen}
+
+
+def test_return_operator_is_the_product_of_point_rows_on_shipped_files(monkeypatch):
+    cases = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json")):
+        inst = load_instance(str(path))
+        if inst.ext.mode == RATIONAL:
+            cases.append((inst.ext, inst.spec, inst.n_taylor, inst.alpha))
+    assert len(cases) == 5
+    kinds = _checked_return_operators(monkeypatch, cases)
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def test_return_operator_is_the_product_of_point_rows_on_random_instances(monkeypatch):
+    cases = []
+    for seed in range(50):
+        ri = random_instance(seed)
+        assert ri.ext.mode == RATIONAL
+        cases.append((ri.ext, ri.spec, ri.n_taylor, ri.alpha))
+    kinds = _checked_return_operators(monkeypatch, cases)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_build_is_deterministic():
@@ -415,21 +492,27 @@ def _case_in(case, mode):
 @pytest.mark.parametrize("case", ["three_cycle", "random_15", "random_26"])
 def test_diagonal_plan_keeps_each_type_in_its_own_block(case, mode):
     """With block-diagonal linear parts the solve keys of each homogeneous
-    type (target block, block degrees) are contiguous, and every operator
-    row reaches only columns of its own type."""
+    type (target block, block degrees) are contiguous, every fiber's
+    conjugation maps each key into its own type, and every row of I - M
+    reaches only columns of its own type."""
     ext, spec, n, alpha = _case_in(case, mode)
     plan = nfm.plan_taylor(ext, spec, n, alpha)
     dims = ext.dims
     assert nfm._all_block_diagonal(plan.mats, dims)
     for degree in range(2, n + 1):
-        keys, _, systems = plan.systems[degree]
+        span, systems = plan.systems[degree]
+        keys = span.keys
         labels = [(dims.block_of[c], dims.block_degrees(exps)) for c, exps in keys]
         runs = [label for j, label in enumerate(labels) if j == 0 or label != labels[j - 1]]
         assert len(runs) == len(set(runs)), f"degree {degree}: a type's keys are split"
-        for _, system in systems:
-            for rows in system.rows:
-                for i, row in enumerate(rows):
-                    assert all(labels[col] == labels[i] for col, _ in row)
+        pairs = list(zip(plan.invs, plan.lin_powers))
+        for _, steps, ret in nfm._cycle_maps(ext.base, pairs, True):
+            for pre, powers in steps:
+                for col, key in enumerate(keys):
+                    image = span.conjugate({key: ext.mode.one}, pre, powers)
+                    assert all(labels[i] == labels[col] for i, _ in image)
+            for i, row in enumerate(nfm._i_minus_m(span, *ret)):
+                assert all(labels[col] == labels[i] for col in row)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
@@ -439,19 +522,20 @@ def test_stacked_cycle_systems_equal_per_group_solves(case, mode):
     plan = nfm.plan_taylor(ext, spec, n, alpha)
     rng = random.Random(case)
     for degree in range(2, n + 1):
-        keys, index, systems = plan.systems[degree]
+        span, systems = plan.systems[degree]
+        keys = span.keys
         assert sorted(keys) == sorted(class_basis(spec, ext.dims, degree, {TypeClass.NON_SUB}))
-        assert index == {k: i for i, k in enumerate(keys)}
+        assert span.index == {k: i for i, k in enumerate(keys)}
         rhs = []
         for _ in range(ext.base.p):
             values = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in keys]
             rhs.append({k: (v if mode == RATIONAL else float(v)) for k, v in zip(keys, values)})
-        stacked = nfm._solve_cycles(systems, [[r[k] for k in keys] for r in rhs])
+        polys = [PolyMap._trusted(ext.dims, ext.dims, degree, ext.mode, r) for r in rhs]
+        stacked = nfm._solve_on(span, systems, polys)
         reference = per_group_cycle_solutions(plan, degree, rhs)
         for sol, ref in zip(stacked, reference):
-            got = [(k, v.hex() if mode == FLOAT else v) for k, v in zip(keys, sol)]
             want = [(k, v.hex() if mode == FLOAT else v) for k, v in ref.items()]
-            assert got == want
+            assert _ordered(sol) == want
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
