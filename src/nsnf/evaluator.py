@@ -597,12 +597,17 @@ class Evaluator:
 
         Gaps of the limit against the Taylor jet below 100x the stopping
         tolerance sit at the noise floor and are left out of the fits; a fit
-        with fewer than two usable radii is degenerate.
+        with fewer than two usable radii is degenerate.  Radii that are not
+        positive and finite, or that repeat, are refused: the fit takes
+        their logarithms and divides by their spread.
         """
         cfg = self.cfg
         if radii is None:
             radii = [cfg.radius * 2.0 ** (-j) for j in range(4)]
         radii = tuple(float(r) for r in radii)
+        bad = [r for r in radii if not 0.0 < r < math.inf or radii.count(r) > 1]
+        if bad:
+            raise ValueError(f"radii must be positive, finite and distinct, got {bad}")
         n = self.ext.dims.total
         ray_xs = np.repeat(np.array([x for x, _ in rays], dtype=np.intp), len(radii))
         ray_points = np.array(

@@ -22,12 +22,11 @@ from . import linsolve
 from .base import Extension, FiniteBase, ValidationReport, validate_extension
 from .polymap import (
     SUB_RESONANCE,
-    ExactSum,
     GradedDims,
     GroupElement,
     PolyMap,
     Powers,
-    agrees,
+    Sum,
     class_basis,
     compose_part,
     from_linear,
@@ -289,60 +288,40 @@ def _solve_on(span: _SolveSpan, systems, polys: Sequence[PolyMap]) -> list[PolyM
 def _defects(h, fixed_powers, normal, base: FiniteBase, degree) -> list[PolyMap]:
     """Degree-n part of H_{f(x)} o F_x - P_x o H_x at every base point x,
     with F_x the inner map of `fixed_powers[x]` and P_x = `normal[x]`.  H
-    grows every degree, so P o H is composed on a fresh table.  In rational
-    mode both sides go into one `ExactSum`, reduced once per coefficient."""
+    grows every degree, so P o H is composed on a fresh table."""
     out = []
     for x in range(base.p):
-        outer, powers = h[base.image(x)], Powers(h[x], degree)
-        if outer.mode.exact:
-            total = ExactSum()
-            total.add_composition(outer, fixed_powers[x], 1, degree)
-            total.add_composition(normal[x], powers, -1, degree)
-            out.append(total.to_map(outer.source, outer.target, degree))
-        else:
-            lhs = compose_part(outer, fixed_powers[x], degree)
-            out.append(lhs.sub(compose_part(normal[x], powers, degree)))
+        outer = h[base.image(x)]
+        total = Sum(outer.mode)
+        total.add_composition(outer, fixed_powers[x], 1, degree)
+        total.add_composition(normal[x], Powers(h[x], degree), -1, degree)
+        out.append(total.to_map(outer.source, outer.target, degree))
     return out
 
 
 def _check_conjugacy(h, fixed_powers, normal, base: FiniteBase, cap, what) -> None:
     """H_{f(x)} o F_x = P_x o H_x at every base point, as jets: the left
-    side truncated at the cap of `fixed_powers`, the right at `cap`.
-
-    Both sides are composed afresh from H, P and F.  In rational mode they
-    are summed into one `ExactSum` and zero-tested; only a failed test
-    builds the two maps, for the message."""
+    side truncated at the cap of `fixed_powers`, the right at `cap`, and
+    the difference relative to the size of the left side.  Both sides are
+    composed afresh from H, P and F."""
     for x in range(base.p):
-        outer, powers = h[base.image(x)], Powers(h[x], cap)
-        if outer.mode.exact:
-            total = ExactSum()
-            total.add_composition(outer, fixed_powers[x])
-            total.add_composition(normal[x], powers, -1)
-            if total.is_zero():
-                continue
-        lhs = fixed_powers[x].compose(outer)
-        rhs = powers.compose(normal[x])
-        if not agrees(lhs, rhs, scale=lhs):
-            raise BuildError(f"{what} residual {float(lhs.sub(rhs).max_abs()):.3e}")
+        outer = h[base.image(x)]
+        total = Sum(outer.mode)
+        lhs = total.add_composition(outer, fixed_powers[x])
+        total.add_composition(normal[x], Powers(h[x], cap), -1)
+        residual = total.to_map(outer.source, outer.target, cap)
+        if not residual.vanishes(scale=lhs):
+            raise BuildError(f"{what} residual {float(residual.max_abs()):.3e}")
 
 
-def _check_residue(defect, lin_powers: Powers, h_next, matrix, h_here, degree) -> None:
-    """defect + h_next o L = matrix . h_here at one degree above d, where no
-    normal-form term is left to absorb a residue; an `ExactSum` zero-test
-    in rational mode."""
-    if defect.mode.exact:
-        total = ExactSum()
-        total.add_map(defect)
-        total.add_composition(h_next, lin_powers, 1, degree)
-        total.add_left_linear(matrix, h_here, -1)
-        if total.is_zero():
-            return
-    pushed = defect.add(lin_powers.compose(h_next, degree))
-    pulled_back = left_linear(matrix, h_here)
-    # the residue is its own scale, which for tol < 1 is scale 0
-    if not agrees(pushed, pulled_back):
-        residue = pushed.sub(pulled_back).max_abs()
-        raise BuildError(f"normal form degree-{degree} residue {float(residue):.3e}")
+def _residue(r, lin_powers: Powers, h_next, matrix, h_here, degree) -> PolyMap:
+    """r + h_next o L - matrix . h_here at one degree, L the inner map of
+    `lin_powers`: the residue of a solve, h_here at a point, h_next at its image."""
+    total = Sum(r.mode)
+    total.add_map(r)
+    total.add_composition(h_next, lin_powers, 1, degree)
+    total.add_left_linear(matrix, h_here, -1)
+    return total.to_map(r.source, r.target, degree)
 
 
 # -- the Taylor build ---------------------------------------------------
@@ -549,16 +528,15 @@ def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFo
         hn = [hbar[x].add(sections.get((x, degree), zero)) for x in range(p)]
 
         for x in range(p):
-            fx = base.image(x)
-            if degree > d:
-                _check_residue(rn[x], lin_powers[x], hn[fx], mats[x], hn[x], degree)
-            else:
-                pushed = rn[x].add(lin_powers[x].compose(hn[fx], degree))
-                pn = pushed.sub(left_linear(mats[x], hn[x]))
-                if not project(pn, spec, _NON_SUB).vanishes(scale=pn):
+            pn = _residue(rn[x], lin_powers[x], hn[base.image(x)], mats[x], hn[x], degree)
+            # above d every type is non-sub-resonance: for tol < 1 the gate is max|pn| <= tol
+            if not project(pn, spec, _NON_SUB).vanishes(scale=pn):
+                if degree > d:
                     raise BuildError(
-                        f"non-sub-resonance residue in the normal form at degree {degree}"
+                        f"normal form degree-{degree} residue {float(pn.max_abs()):.3e}"
                     )
+                raise BuildError(f"non-sub-resonance residue in the normal form at degree {degree}")
+            if degree <= d:
                 # drops float dust below tolerance; keeps all of pn in rational mode
                 p_poly[x] = p_poly[x].add(project(pn, spec, SUB_RESONANCE))
             h[x] = h[x].add(hn[x], cap=n_taylor)
@@ -723,13 +701,12 @@ def reduce_family(
         if ss:
             rhs = []
             for x in range(base.p):
-                fx = base.image(x)
                 # Known inhomogeneity: strict part of the defect plus the
                 # lift's interaction with the triangular linear term, minus
                 # the correction aligning the resonance complement with the
                 # degree-1 change of coordinates.
-                w_known = k_parts[x].add(compose_part(deltas[fx], a_powers[x], degree)).sub(
-                    left_linear(d_mats[x], deltas[x])
+                w_known = _residue(
+                    k_parts[x], a_powers[x], deltas[base.image(x)], d_mats[x], deltas[x], degree
                 )
                 rho = project(w_known, spec, res_only)
                 correction = compose_part(rho, g1_powers[x], degree).sub(rho)
@@ -737,14 +714,10 @@ def reduce_family(
                 rhs.append(compose_part(c_poly, a_inv_powers[x], degree))
             h_n = backward_solve(ss, degree, rhs)
 
+        h_new = [deltas[x].add(h_n[x]) for x in range(base.p)]
         for x in range(base.p):
-            h_prime[x] = h_prime[x].add(deltas[x]).add(h_n[x])
-        for x in range(base.p):
-            fx = base.image(x)
-            hn_full = deltas[fx].add(h_n[fx])
-            v = k_parts[x].add(compose_part(hn_full, a_powers[x], degree)).sub(
-                left_linear(d_mats[x], deltas[x].add(h_n[x]))
-            )
+            h_prime[x] = h_prime[x].add(h_new[x])
+            v = _residue(k_parts[x], a_powers[x], h_new[base.image(x)], d_mats[x], h_new[x], degree)
             p_n = compose_part(v, g1_inv_powers[x], degree)
             off = project(p_n, spec, {TypeClass.STRICT_SUB, TypeClass.NON_SUB})
             if not off.vanishes(scale=p_n):

@@ -504,20 +504,55 @@ class Powers:
         return PolyMap._trusted(inner.source, outer.target, top, outer.mode, acc)
 
 
-class ExactSum:
-    """Sums of rational terms per (coordinate, exponents) key, numerator
-    and denominator kept apart and never put in lowest terms while terms
-    arrive: each term costs integer products and sums, no gcd.
+class Sum:
+    """A signed sum of maps, compositions and left-linear products: the one
+    kernel that forms or zero-tests a defect, a residue or the difference
+    of two sides.  Terms have a sign of +1 or -1; `to_map(...).vanishes`
+    is the zero test.  The constructor picks the mode's accumulator.
 
-    The one kernel for rational results that are only compared: a sum is
-    zero exactly when every numerator is zero, and `to_map` reduces each
-    coefficient once.  Terms are added with a sign of +1 or -1.
+    In binary64 (this class) terms are formed by `Powers.compose` and
+    `left_linear` and added as `PolyMap.add` adds them, zeros dropped after
+    each term: the bits and key order of the chained maps.  `_ExactSum`
+    keeps numerators and denominators apart, with no gcd while terms
+    arrive, and reduces each nonzero coefficient once in `to_map`, so a
+    zero sum builds no Fraction.  `add_*` returns the term as a map where
+    one is built (binary64), as the scale of a gate; None in rational mode.
     """
 
     __slots__ = ("acc",)
 
-    def __init__(self) -> None:
-        self.acc: dict = {}
+    def __new__(cls, mode):
+        self = object.__new__(_ExactSum if mode.exact else cls)
+        self.acc = {}
+        return self
+
+    def add_map(self, pmap: PolyMap, sign: int = 1) -> PolyMap:
+        acc = self.acc
+        get = acc.get
+        for key, v in pmap.coeffs.items():
+            if sign < 0:
+                v = -v  # w + (-v) is w - v, bit for bit
+            w = get(key)
+            acc[key] = v if w is None else w + v
+        if 0.0 in acc.values():
+            self.acc = {k: v for k, v in acc.items() if v}
+        return pmap
+
+    def add_composition(self, outer: PolyMap, powers: "Powers", sign: int = 1, n=None) -> PolyMap:
+        """outer(G(t)) for the inner map G of `powers`, truncated as
+        `powers.compose(outer, n)` truncates it."""
+        return self.add_map(powers.compose(outer, n), sign)
+
+    def add_left_linear(self, matrix, pmap: PolyMap, sign: int = 1) -> PolyMap:
+        """matrix . pmap, as `left_linear` forms it."""
+        return self.add_map(left_linear(matrix, pmap), sign)
+
+    def to_map(self, source: GradedDims, target: GradedDims, cap: int) -> PolyMap:
+        return PolyMap._kept(source, target, cap, FLOAT, dict(self.acc))
+
+
+class _ExactSum(Sum):
+    __slots__ = ()
 
     def _add(self, key, num: int, den: int) -> None:
         got = self.acc.get(key)
@@ -535,8 +570,6 @@ class ExactSum:
             self._add(key, sign * v.numerator, v.denominator)
 
     def add_composition(self, outer: PolyMap, powers: "Powers", sign: int = 1, n=None) -> None:
-        """outer(G(t)) for the inner map G of `powers`, truncated as
-        `powers.compose(outer, n)` truncates it."""
         top = powers.cap if n is None else n
         add = self._add
         for (coord, exps), value in outer.coeffs.items():
@@ -547,7 +580,6 @@ class ExactSum:
                 add((coord, e_out), a * v.numerator, b * v.denominator)
 
     def add_left_linear(self, matrix, pmap: PolyMap, sign: int = 1) -> None:
-        """matrix . pmap, as `left_linear` forms it."""
         add = self._add
         columns = [[(r, m) for r, m in enumerate(col) if m] for col in zip(*matrix)]
         for (coord, exps), value in pmap.coeffs.items():
@@ -555,11 +587,7 @@ class ExactSum:
             for r, m in columns[coord]:
                 add((r, exps), a * m.numerator, b * m.denominator)
 
-    def is_zero(self) -> bool:
-        return not any(num for num, _ in self.acc.values())
-
     def to_map(self, source: GradedDims, target: GradedDims, cap: int) -> PolyMap:
-        """The sum as a rational map, each coefficient reduced once."""
         coeffs = {key: Fraction(num, den) for key, (num, den) in self.acc.items() if num}
         return PolyMap._kept(source, target, cap, RATIONAL, coeffs)
 
@@ -624,22 +652,14 @@ def invert(pmap: PolyMap, cap: int) -> PolyMap:
 
 
 def _assert_identity(outer: PolyMap, inner: PolyMap, cap: int, what: str) -> None:
-    """Raise AssertionError unless outer o inner is the identity to cap.
-
-    In rational mode the composite is summed into an `ExactSum` and only
-    a failed zero-test builds it as a map, for the message."""
-    powers = Powers(inner, cap)
-    ident = identity_map(inner.source, cap, inner.mode)
-    if inner.mode.exact:
-        total = ExactSum()
-        total.add_composition(outer, powers)
-        total.add_map(ident, -1)
-        if total.is_zero():
-            return
-    composite = powers.compose(outer)
-    if not agrees(composite, ident, scale=inner):
-        residual = composite.sub(ident).max_abs()
-        raise AssertionError(f"{what} residual {float(residual):.3e} beyond tolerance")
+    """Raise AssertionError unless outer o inner is the identity to cap,
+    relative to the size of inner."""
+    total = Sum(inner.mode)
+    total.add_composition(outer, Powers(inner, cap))
+    total.add_map(identity_map(inner.source, cap, inner.mode), -1)
+    residual = total.to_map(inner.source, outer.target, cap)
+    if not residual.vanishes(scale=inner):
+        raise AssertionError(f"{what} residual {float(residual.max_abs()):.3e} beyond tolerance")
 
 
 # -- class projections --------------------------------------------------

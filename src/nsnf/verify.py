@@ -13,7 +13,7 @@ import numpy as np
 from .base import Extension
 from .evaluator import EvalConfig, Evaluator, evaluate_at, interleave
 from .normal_form import NormalFormResult, ResonanceResult, pinned_lift
-from .polymap import GROUP_TAGS, PolyMap, agrees, compose, invert, project
+from .polymap import GROUP_TAGS, PolyMap, Powers, Sum, agrees, compose, invert, project
 from .spectrum import TypeClass, criticality, degree_bound
 
 
@@ -175,15 +175,16 @@ def check_centralizer(
     cap = max(
         max(pm.degree() for pm in ext_f.fibers), 1
     ) * max(max(pm.degree() for pm in ext_g.fibers), 1)
+    dims = ext_f.dims
     for x in range(f.p):
-        lhs = compose(ext_g.fiber(f.image(x)), ext_f.fiber(x), cap)
-        rhs = compose(ext_f.fiber(g.image(x)), ext_g.fiber(x), cap)
-        if not agrees(lhs, rhs, scale=lhs):
+        total = Sum(ext_f.mode)
+        lhs = total.add_composition(ext_g.fiber(f.image(x)), Powers(ext_f.fiber(x), cap))
+        total.add_composition(ext_f.fiber(g.image(x)), Powers(ext_g.fiber(x), cap), -1)
+        if not total.to_map(dims, dims, cap).vanishes(scale=lhs):
             raise VerifyError(
                 "commutation", f"extensions do not commute over point {x}"
             )
 
-    dims = ext_f.dims
     for x in range(f.p):
         mixing = [entry for _, _, entry in dims.off_block(ext_g.fiber(x).linear_matrix())]
         if not ext_f.mode.vanishes(mixing):

@@ -120,6 +120,25 @@ def test_order_of_contact_worked_n2():
     assert 2.5 <= fit.slope <= 3.5
 
 
+@pytest.mark.parametrize(
+    "radii, named",
+    [
+        ([0.01, 0.01], r"\[0\.01, 0\.01\]"),
+        ([0.02, 0.01, 0.02], r"\[0\.02, 0\.02\]"),
+        ([0.01, -0.01], r"\[-0\.01\]"),
+        ([0.0, 0.01], r"\[0\.0\]"),
+        ([float("nan"), 0.01], r"\[nan\]"),
+        ([float("inf"), 0.01], r"\[inf\]"),
+    ],
+)
+def test_order_of_contact_refuses_bad_radii(radii, named):
+    # equal radii made the least-squares fit divide by zero, and a radius
+    # that is not positive failed in math.log
+    ev = _worked_eval()
+    with pytest.raises(ValueError, match=rf"^radii must be positive, finite and distinct, got {named}$"):
+        ev.order_of_contact(0, (1.0, 1.0), radii=radii)
+
+
 def test_order_of_contact_scalar():
     ext, spec = scalar_extension("float")
     ev = Evaluator(build_taylor(ext, spec, 2, 0))
