@@ -36,6 +36,8 @@ class FiniteBase:
 
     def __init__(self, perm: Sequence[int]) -> None:
         perm_t = tuple(int(v) for v in perm)
+        if not perm_t:
+            raise ValueError("empty permutation: the base needs at least one point")
         if sorted(perm_t) != list(range(len(perm_t))):
             raise ValueError(f"not a permutation of 0..{len(perm_t) - 1}: {perm_t}")
         object.__setattr__(self, "perm", perm_t)

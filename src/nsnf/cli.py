@@ -13,12 +13,12 @@ import functools
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 
 from . import __version__
 from .base import validate_extension
 from .evaluator import EvalError, Evaluator
-from .instance import Instance, InstanceError, fraction_json, load_instance
+from .instance import Instance, InstanceError, RunOptions, fraction_json, load_instance
 from .normal_form import (
     BuildError,
     BuildRefused,
@@ -98,38 +98,23 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--lift", choices=["complement", "seeded"], help="lift strategy")
         sp.add_argument("--seed", type=int, help="seed for lifts and sampling")
         sp.add_argument("--tol", type=float, help="evaluator stopping tolerance")
-        sp.add_argument("--kmax", type=int, help="evaluator iteration cap")
+        sp.add_argument("--kmax", dest="k_max", type=int, help="evaluator iteration cap")
         sp.add_argument("--samples", type=int, help="residual sample count")
         sp.add_argument("--radius", type=float, help="sampling ball radius")
-        sp.add_argument("--force", action="store_true", help="build past a failed validation")
+        sp.add_argument(
+            "--force", action="store_true", default=None, help="build past a failed validation"
+        )
         sp.add_argument("--timings", action="store_true", help="include wall-clock timings")
         sp.add_argument("--out", help="write the JSON report to this path")
     return ap
 
 
 def _load(args) -> Instance:
-    inst = load_instance(args.instance)
-    overrides = {}
-    for attr, key in [
-        ("lift", "lift"),
-        ("seed", "seed"),
-        ("tol", "tol"),
-        ("kmax", "k_max"),
-        ("samples", "samples"),
-        ("radius", "radius"),
-    ]:
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[key] = value
-    if args.force:
-        overrides["force"] = True
-    if overrides:
-        inst.options = replace(inst.options, **overrides)
-    if args.mode:
-        inst = inst.with_mode(args.mode)
-    if inst.options.radius > inst.ext.sigma:
-        raise InstanceError("options.radius: exceeds the certified ball radius sigma")
-    return inst
+    """The instance file with the option flags laid over its options; each
+    flag's dest is the option's name, None where it is not given."""
+    flags = {f.name: getattr(args, f.name) for f in fields(RunOptions)}
+    inst = load_instance(args.instance, {k: v for k, v in flags.items() if v is not None})
+    return inst.with_mode(args.mode) if args.mode else inst
 
 
 def _stage_constants(inst: Instance, sections: dict) -> None:

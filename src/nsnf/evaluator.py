@@ -28,7 +28,7 @@ import numpy as np
 
 from . import majorant
 from .normal_form import NormalFormResult
-from .polymap import group_inverse
+from .polymap import _is_int, group_inverse
 
 
 # `survey` also checks the one-step gap at every this-many-th residual sample.
@@ -49,12 +49,12 @@ class EvalConfig:
     radius: float = 0.05
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        for name in ("tol", "radius"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not _is_int(self.k_max) or self.k_max < 1:
+            raise ValueError(f"k_max must be an integer of at least 1, got {self.k_max!r}")
 
 
 @dataclass
@@ -457,7 +457,36 @@ class Evaluator:
         return xi ** (self.nf.n_taylor + 1) * grow
 
     def eval_taylor(self, x: int, t) -> tuple[float, ...]:
-        return tuple(self.nf.h_taylor[x].evaluate(tuple(t)))
+        xs, points = self._rows([x], [t], self.cfg.radius)
+        return tuple(self.nf.h_taylor[xs[0]].evaluate(tuple(points[0].tolist())))
+
+    def _rows(self, xs, points, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Caller rows (xs[i], points[i]) as arrays, each refused with a
+        ValueError naming the argument: a base point that is not an integer
+        in 0..p-1, a point without n finite coordinates, and a point whose
+        sup norm exceeds the radius."""
+        p, n = self.base.p, self.ext.dims.total
+        xs = np.asarray(xs)
+        if xs.ndim != 1 or (xs.size and xs.dtype.kind not in "iu"):
+            raise ValueError(f"xs: expected integer base points, got {xs.dtype} {xs.shape}")
+        bad = np.flatnonzero((xs < 0) | (xs >= p))
+        if bad.size:
+            raise ValueError(f"xs[{bad[0]}]: {xs[bad[0]]} is not a base point in 0..{p - 1}")
+        try:
+            points = np.asarray(points, dtype=float)
+            ok = points.shape == (len(xs), n) or points.size == len(xs) == 0
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"points: expected one row of {n} coordinates per base point")
+        points = points.reshape(len(xs), n)
+        size = _sup(points)
+        over = np.flatnonzero(~(size <= radius))
+        if over.size:
+            i = over[0]
+            why = f"exceeds the sample radius {radius}" if np.isfinite(size[i]) else "is not finite"
+            raise ValueError(f"points[{i}]: |t| = {size[i]:.4g} {why}")
+        return xs.astype(np.intp, copy=False), points
 
     def limits(self, xs, points, cfg: EvalConfig | None = None) -> Limits:
         """The limit at every row (xs[i], points[i]), all rows in lockstep.
@@ -469,14 +498,7 @@ class Evaluator:
         raises EvalError, naming the first such row.
         """
         cfg = cfg or self.cfg
-        xs = np.asarray(xs, dtype=np.intp)
-        points = np.asarray(points, dtype=float).reshape(len(xs), self.ext.dims.total)
-        size = _sup(points)
-        over = np.flatnonzero(size > cfg.radius)
-        if over.size:
-            raise ValueError(
-                f"|t| = {size[over[0]]:.4g} exceeds the sample radius {cfg.radius}"
-            )
+        xs, points = self._rows(xs, points, cfg.radius)
         values = points.copy()
         iterations = np.zeros(len(xs), dtype=np.intp)
         bounds = np.zeros(len(xs))
@@ -485,7 +507,7 @@ class Evaluator:
         stuck: list[tuple[int, int, float, float]] = []
         h, p_inv = self.nf.h_taylor, self.p_inv
         # the rows away from the fixed zero point, by start point
-        moving = np.flatnonzero(size > 0.0)
+        moving = np.flatnonzero(_sup(points) > 0.0)
         moving = moving[np.argsort(xs[moving], kind="stable")]
         if moving.size:
             orbit, all_k_star, table = self._stop.certify(self, xs[moving], points[moving], cfg)
@@ -548,10 +570,10 @@ class Evaluator:
         """k* of the one row (x, t), as `limits` finds it; None where the
         bound stays above tol/10 through k_max, 0 at the zero point."""
         cfg = cfg or self.cfg
-        w = np.asarray(t, dtype=float).reshape(1, self.ext.dims.total)
+        xs, w = self._rows([x], [t], cfg.radius)
         if not w.any():
             return 0
-        k_star = int(self._stop.certify(self, np.array([x]), w, cfg)[1][0])
+        k_star = int(self._stop.certify(self, xs, w, cfg)[1][0])
         return k_star if k_star <= cfg.k_max else None
 
     def eval_h(self, x: int, t, cfg: EvalConfig | None = None) -> EvalResult:
@@ -574,8 +596,7 @@ class Evaluator:
     def residual(self, x: int, t) -> float:
         """Defect of the conjugacy identity at the converged limit: the
         limits at (x, t) and one step on, at (f(x), F_x(t)), in one batch."""
-        xs = np.array([x], dtype=np.intp)
-        points = np.asarray(t, dtype=float).reshape(1, self.ext.dims.total)
+        xs, points = self._rows([x], [t], self.cfg.radius)
         values = self.limits(*self._paired(xs, points)).values
         return float(self._residuals(xs, values[0::2], values[1::2])[0])
 
@@ -599,7 +620,9 @@ class Evaluator:
         tolerance sit at the noise floor and are left out of the fits; a fit
         with fewer than two usable radii is degenerate.  Radii that are not
         positive and finite, or that repeat, are refused: the fit takes
-        their logarithms and divides by their spread.
+        their logarithms and divides by their spread.  So are a negative
+        sample count and a ray whose base point or direction `_rows` would
+        refuse, before anything is drawn.
         """
         cfg = self.cfg
         if radii is None:
@@ -609,10 +632,14 @@ class Evaluator:
         if bad:
             raise ValueError(f"radii must be positive, finite and distinct, got {bad}")
         n = self.ext.dims.total
-        ray_xs = np.repeat(np.array([x for x, _ in rays], dtype=np.intp), len(radii))
-        ray_points = np.array(
-            [[r * c for c in _unit(d)] for _, d in rays for r in radii], dtype=float
-        ).reshape(len(ray_xs), n)
+        if samples < 0:
+            raise ValueError(f"samples must be non-negative, got {samples}")
+        try:
+            ray_xs, units = self._rows([x for x, _ in rays], [_unit(d) for _, d in rays], 1.0)
+        except ValueError as err:
+            raise ValueError(f"rays: {err}") from None
+        ray_xs = np.repeat(ray_xs, len(radii))
+        ray_points = (units[:, None, :] * np.array(radii)[:, None]).reshape(len(ray_xs), n)
         xs, points = self.sample_points(seed, samples, cfg.radius)
         pair_xs, pair_points = self._paired(xs, points)
         lim = self.limits(

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .base import Extension, FiniteBase
 from .evaluator import EvalConfig
 from .normal_form import LiftStrategy, complement_lift, seeded_lift
-from .polymap import GradedDims, PolyMap, record_ratio, record_term, to_records
+from .polymap import GradedDims, PolyMap, _is_int, record_ratio, record_term, to_records
 from .scalars import policy
 from .spectrum import SpectrumSpec
 
@@ -44,11 +44,6 @@ def parse_fraction(obj, where: str) -> Fraction:
             _fail(where, "rational object needs a 'num' field")
         return record_ratio(obj, f"{where}.", InstanceError)
     _fail(where, f"expected a rational (int or num/den object), got {type(obj).__name__}")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: an int, not a boolean (1.0 is a float)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
@@ -78,14 +73,14 @@ class RunOptions:
     force: bool = False
 
     def __post_init__(self):
-        """Check every option once, whether it comes from an instance file
-        or from a command-line override (`dataclasses.replace` runs this
-        again); the evaluator's ranges are `EvalConfig`'s own checks."""
+        """Check every option, from the instance file or from a command-line
+        flag laid over it; the evaluator's ranges are `EvalConfig`'s own
+        checks."""
         if self.lift not in ("complement", "seeded"):
             _fail("options.lift", f"unsupported strategy {self.lift!r}")
         for name in ("seed", "k_max", "samples"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 _fail(f"options.{name}", f"expected an integer, got {value!r}")
         if self.samples < 0:
             _fail("options.samples", f"expected a non-negative count, got {self.samples}")
@@ -119,7 +114,6 @@ class Instance:
     commuting_alpha: Fraction | None
     options: RunOptions
     digest: str
-    raw: dict = field(repr=False)
 
     @property
     def mode(self) -> str:
@@ -156,31 +150,29 @@ def _parse_poly_records(records, dims: GradedDims, mode: str, where: str) -> Pol
         _fail(where, str(err))
 
 
-def _parse_extension(block: dict, dims: GradedDims, mode: str, where: str) -> Extension:
-    for key in ("permutation", "fibers"):
-        if block.get(key) is None:
-            _fail(where, f"missing '{key}'")
-    perm = _int_list(block["permutation"], f"{where}.permutation")
+def _parse_extension(perm, fibers_raw, raw: dict, dims: GradedDims, mode, where: str) -> Extension:
+    """The extension of a permutation already read from `where` and its
+    fiber records, at the instance's sigma and xi."""
     try:
         base = FiniteBase(perm)
     except ValueError as err:
         _fail(f"{where}.permutation", str(err))
-    fibers_raw = block["fibers"]
     if not isinstance(fibers_raw, list) or len(fibers_raw) != base.p:
         _fail(f"{where}.fibers", f"expected one fiber record list per point ({base.p})")
     fibers = [
         _parse_poly_records(rec, dims, mode, f"{where}.fibers[{x}]")
         for x, rec in enumerate(fibers_raw)
     ]
-    sigma = block.get("sigma")
-    xi = block.get("xi")
     try:
-        return Extension(base, dims, fibers, sigma=sigma, xi=xi, mode=mode)
+        return Extension(base, dims, fibers, sigma=raw["sigma"], xi=raw["xi"], mode=mode)
     except ValueError as err:
         _fail(where, str(err))
 
 
-def parse_instance(raw: dict, digest: str | None = None) -> Instance:
+def parse_instance(raw: dict, digest: str | None = None, overrides: dict | None = None) -> Instance:
+    """The instance of a JSON object.  `overrides` maps option names to
+    command-line values, which are laid over the file's `options` before
+    the run's options are built and checked."""
     if not isinstance(raw, dict):
         _fail("$", "instance must be a JSON object")
     for key in ("spectrum", "regularity", "base", "dims", "sigma", "xi", "mode", "fibers"):
@@ -233,17 +225,7 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
     if declared_p is not None and (not _is_int(declared_p) or declared_p != len(perm)):
         _fail("base.p", "does not match the permutation length")
 
-    ext = _parse_extension(
-        {
-            "permutation": perm,
-            "fibers": raw["fibers"],
-            "sigma": raw["sigma"],
-            "xi": raw["xi"],
-        },
-        dims,
-        mode,
-        "$",
-    )
+    ext = _parse_extension(perm, raw["fibers"], raw, dims, mode, "$")
 
     commuting = None
     commuting_n = None
@@ -252,17 +234,8 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
         cm = raw["commuting"]
         if not isinstance(cm, dict):
             _fail("commuting", "expected an object")
-        commuting = _parse_extension(
-            {
-                "permutation": cm.get("permutation"),
-                "fibers": cm.get("fibers"),
-                "sigma": raw["sigma"],
-                "xi": raw["xi"],
-            },
-            dims,
-            mode,
-            "commuting",
-        )
+        cm_perm = _int_list(cm.get("permutation"), "commuting.permutation")
+        commuting = _parse_extension(cm_perm, cm.get("fibers"), raw, dims, mode, "commuting")
         cm_reg = cm.get("regularity", {})
         if not isinstance(cm_reg, dict):
             _fail("commuting.regularity", "expected an object")
@@ -282,7 +255,8 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
     if extra:
         _fail("options", f"unknown option keys {sorted(extra)}")
     sigma = float(raw["sigma"])
-    options = RunOptions(**{"radius": min(RunOptions.radius, sigma / 5.0), **opts})
+    default_radius = min(RunOptions.radius, sigma / 5.0)
+    options = RunOptions(**{"radius": default_radius, **opts, **(overrides or {})})
     if options.radius > sigma:
         _fail("options.radius", "exceeds the certified ball radius sigma")
 
@@ -298,7 +272,6 @@ def parse_instance(raw: dict, digest: str | None = None) -> Instance:
         commuting_alpha=commuting_alpha,
         options=options,
         digest=digest,
-        raw=raw,
     )
 
 
@@ -307,7 +280,9 @@ def digest_of(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def load_instance(path: str) -> Instance:
+def load_instance(path: str, overrides: dict | None = None) -> Instance:
+    """The instance in a JSON file, with command-line option overrides
+    (see `parse_instance`); a refusal names the file."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -316,7 +291,7 @@ def load_instance(path: str) -> Instance:
     except json.JSONDecodeError as err:
         raise InstanceError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
     try:
-        return parse_instance(raw)
+        return parse_instance(raw, overrides=overrides)
     except InstanceError as err:
         raise InstanceError(f"{path}: {err}") from None
 
