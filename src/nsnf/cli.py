@@ -205,33 +205,23 @@ def _stage_verify(
     sections["verification"] = verdicts
     failures: list[str] = []
 
+    def record(name: str, verdict: dict) -> None:
+        verdicts[name] = verdict
+        if not verdict["ok"]:
+            failures.append(name)
+
     try:
         other = nf.rebuild(seeded_lift(opts.seed + 1))
-        uniq = check_uniqueness(nf, other)
-        verdicts["uniqueness"] = witness_json(uniq)
-        if not uniq.ok:
-            failures.append("uniqueness")
+        record("uniqueness", witness_json(check_uniqueness(nf, other)))
         red_other = resonance_reduce(other, lift=inst.options.lift_strategy())
         uniq_res = check_uniqueness_resonance(nf, red, other, red_other)
-        verdicts["uniqueness_resonance"] = witness_json(uniq_res)
-        if not uniq_res.ok:
-            failures.append("uniqueness_resonance")
-
-        pinned = pinned_rebuild_matches(nf)
-        verdicts["pinned_rebuild"] = {"ok": pinned}
-        if not pinned:
-            failures.append("pinned_rebuild")
+        record("uniqueness_resonance", witness_json(uniq_res))
+        record("pinned_rebuild", {"ok": pinned_rebuild_matches(nf)})
 
         flags = [check_flag_preservation(nf.p_poly(x), inst.spec) for x in range(inst.ext.base.p)]
-        verdicts["flag_preservation"] = {"ok": all(flags), "per_point": flags}
-        if not all(flags):
-            failures.append("flag_preservation")
-
+        record("flag_preservation", {"ok": all(flags), "per_point": flags})
         if inst.spec.ell == 1:
-            lin = check_linearization(nf)
-            verdicts["linearization"] = {"ok": lin}
-            if not lin:
-                failures.append("linearization")
+            record("linearization", {"ok": check_linearization(nf)})
 
         if inst.commuting is not None:
             samples = 0 if inst.mode.exact else min(opts.samples, 50)

@@ -457,14 +457,14 @@ class Evaluator:
         return xi ** (self.nf.n_taylor + 1) * grow
 
     def eval_taylor(self, x: int, t) -> tuple[float, ...]:
-        xs, points = self._rows([x], [t], self.cfg.radius)
+        xs, points, _ = self._rows([x], [t], self.cfg.radius)
         return tuple(self.nf.h_taylor[xs[0]].evaluate(tuple(points[0].tolist())))
 
-    def _rows(self, xs, points, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Caller rows (xs[i], points[i]) as arrays, each refused with a
-        ValueError naming the argument: a base point that is not an integer
-        in 0..p-1, a point without n finite coordinates, and a point whose
-        sup norm exceeds the radius."""
+    def _rows(self, xs, points, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Caller rows (xs[i], points[i]) as arrays, with their sup norms,
+        each refused with a ValueError naming the argument: a base point that
+        is not an integer in 0..p-1, a point without n finite coordinates,
+        and a point whose sup norm exceeds the radius."""
         p, n = self.base.p, self.ext.dims.total
         xs = np.asarray(xs)
         if xs.ndim != 1 or (xs.size and xs.dtype.kind not in "iu"):
@@ -486,7 +486,7 @@ class Evaluator:
             i = over[0]
             why = f"exceeds the sample radius {radius}" if np.isfinite(size[i]) else "is not finite"
             raise ValueError(f"points[{i}]: |t| = {size[i]:.4g} {why}")
-        return xs.astype(np.intp, copy=False), points
+        return xs.astype(np.intp, copy=False), points, size
 
     def limits(self, xs, points, cfg: EvalConfig | None = None) -> Limits:
         """The limit at every row (xs[i], points[i]), all rows in lockstep.
@@ -498,7 +498,10 @@ class Evaluator:
         raises EvalError, naming the first such row.
         """
         cfg = cfg or self.cfg
-        xs, points = self._rows(xs, points, cfg.radius)
+        return self._limits(*self._rows(xs, points, cfg.radius), cfg)
+
+    def _limits(self, xs, points, size, cfg: EvalConfig) -> Limits:
+        """`limits` on rows checked by `_rows` or built inside the radius, sup norms `size`."""
         values = points.copy()
         iterations = np.zeros(len(xs), dtype=np.intp)
         bounds = np.zeros(len(xs))
@@ -507,7 +510,7 @@ class Evaluator:
         stuck: list[tuple[int, int, float, float]] = []
         h, p_inv = self.nf.h_taylor, self.p_inv
         # the rows away from the fixed zero point, by start point
-        moving = np.flatnonzero(_sup(points) > 0.0)
+        moving = np.flatnonzero(size > 0.0)
         moving = moving[np.argsort(xs[moving], kind="stable")]
         if moving.size:
             orbit, all_k_star, table = self._stop.certify(self, xs[moving], points[moving], cfg)
@@ -570,8 +573,8 @@ class Evaluator:
         """k* of the one row (x, t), as `limits` finds it; None where the
         bound stays above tol/10 through k_max, 0 at the zero point."""
         cfg = cfg or self.cfg
-        xs, w = self._rows([x], [t], cfg.radius)
-        if not w.any():
+        xs, w, size = self._rows([x], [t], cfg.radius)
+        if not size[0] > 0.0:
             return 0
         k_star = int(self._stop.certify(self, xs, w, cfg)[1][0])
         return k_star if k_star <= cfg.k_max else None
@@ -584,10 +587,15 @@ class Evaluator:
         last = increments[-1] if increments else 0.0
         return EvalResult(tuple(lim.values[0].tolist()), k, True, last, increments)
 
-    def _paired(self, xs: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (x, t) and one step on, (f(x), F_x(t)), interleaved in draw order."""
+    def _paired(self, xs: np.ndarray, points: np.ndarray, size: np.ndarray):
+        """Rows (x, t) and one step on, (f(x), F_x(t)), interleaved in draw
+        order, with their sup norms.  A step that leaves the sample radius,
+        where the certified stop has no bound, is refused."""
         ft = evaluate_at(self.ext.fibers, xs, points)
-        return interleave(xs, self._perm[xs]), interleave(points, ft)
+        ft_size = _sup(ft)
+        if not (ft_size <= self.cfg.radius).all():
+            raise ValueError(f"|F_x(t)| = {ft_size.max():.4g} exceeds the radius {self.cfg.radius}")
+        return interleave(xs, self._perm[xs]), interleave(points, ft), interleave(size, ft_size)
 
     def _residuals(self, xs, here, there) -> np.ndarray:
         """|H_{fx}(F_x(t)) - P_x(H_x(t))| per row."""
@@ -596,8 +604,8 @@ class Evaluator:
     def residual(self, x: int, t) -> float:
         """Defect of the conjugacy identity at the converged limit: the
         limits at (x, t) and one step on, at (f(x), F_x(t)), in one batch."""
-        xs, points = self._rows([x], [t], self.cfg.radius)
-        values = self.limits(*self._paired(xs, points)).values
+        xs, points, size = self._rows([x], [t], self.cfg.radius)
+        values = self._limits(*self._paired(xs, points, size), self.cfg).values
         return float(self._residuals(xs, values[0::2], values[1::2])[0])
 
     def sample_points(self, seed: int, samples: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -620,9 +628,10 @@ class Evaluator:
         tolerance sit at the noise floor and are left out of the fits; a fit
         with fewer than two usable radii is degenerate.  Radii that are not
         positive and finite, or that repeat, are refused: the fit takes
-        their logarithms and divides by their spread.  So are a negative
-        sample count and a ray whose base point or direction `_rows` would
-        refuse, before anything is drawn.
+        their logarithms and divides by their spread, and so are radii above
+        the sample radius.  So are a negative sample count and a ray whose
+        base point or direction `_rows` would refuse, before anything is
+        drawn.
         """
         cfg = self.cfg
         if radii is None:
@@ -631,20 +640,21 @@ class Evaluator:
         bad = [r for r in radii if not 0.0 < r < math.inf or radii.count(r) > 1]
         if bad:
             raise ValueError(f"radii must be positive, finite and distinct, got {bad}")
+        if max(radii, default=0.0) > cfg.radius:
+            raise ValueError(f"radii must be at most the sample radius {cfg.radius}, got {radii}")
         n = self.ext.dims.total
         if samples < 0:
             raise ValueError(f"samples must be non-negative, got {samples}")
         try:
-            ray_xs, units = self._rows([x for x, _ in rays], [_unit(d) for _, d in rays], 1.0)
+            ray_xs, units, _ = self._rows([x for x, _ in rays], [_unit(d) for _, d in rays], 1.0)
         except ValueError as err:
             raise ValueError(f"rays: {err}") from None
         ray_xs = np.repeat(ray_xs, len(radii))
         ray_points = (units[:, None, :] * np.array(radii)[:, None]).reshape(len(ray_xs), n)
         xs, points = self.sample_points(seed, samples, cfg.radius)
-        pair_xs, pair_points = self._paired(xs, points)
-        lim = self.limits(
-            np.concatenate([pair_xs, ray_xs]), np.concatenate([pair_points, ray_points])
-        )
+        # the sample's pairs, then the rays: xs, points and sup norms
+        rows = zip(self._paired(xs, points, _sup(points)), (ray_xs, ray_points, _sup(ray_points)))
+        lim = self._limits(*(np.concatenate(both) for both in rows), cfg)
 
         m = 2 * samples
         here, there = lim.values[0:m:2], lim.values[1:m:2]

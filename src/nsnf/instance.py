@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .base import Extension, FiniteBase
@@ -64,6 +64,8 @@ def fraction_json(value: Fraction) -> dict:
 
 @dataclass(frozen=True)
 class RunOptions:
+    """The run's options, built once by `parse_instance` from checked values."""
+
     lift: str = "complement"
     seed: int = 0
     tol: float = EvalConfig.tol
@@ -72,35 +74,44 @@ class RunOptions:
     radius: float = EvalConfig.radius
     force: bool = False
 
-    def __post_init__(self):
-        """Check every option, from the instance file or from a command-line
-        flag laid over it; the evaluator's ranges are `EvalConfig`'s own
-        checks."""
-        if self.lift not in ("complement", "seeded"):
-            _fail("options.lift", f"unsupported strategy {self.lift!r}")
-        for name in ("seed", "k_max", "samples"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                _fail(f"options.{name}", f"expected an integer, got {value!r}")
-        if self.samples < 0:
-            _fail("options.samples", f"expected a non-negative count, got {self.samples}")
-        for name in ("tol", "radius"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                _fail(f"options.{name}", f"expected a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if not isinstance(self.force, bool):
-            _fail("options.force", f"expected true or false, got {self.force!r}")
-        try:
-            self.eval_config()
-        except ValueError as err:
-            _fail("options", str(err))
-
     def lift_strategy(self) -> LiftStrategy:
         return seeded_lift(self.seed) if self.lift == "seeded" else complement_lift()
 
     def eval_config(self) -> EvalConfig:
         return EvalConfig(tol=self.tol, k_max=self.k_max, radius=self.radius)
+
+
+# each option's test and what a refusal says it expected, in checking order
+_OPTION_CHECKS = {
+    "lift": (lambda v: v in ("complement", "seeded"), "'complement' or 'seeded'"),
+    "seed": (_is_int, "an integer"),
+    "k_max": (_is_int, "an integer"),
+    "samples": (lambda v: _is_int(v) and v >= 0, "a non-negative count"),
+    "tol": (_is_number, "a number"),
+    "radius": (_is_number, "a number"),
+    "force": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _checked_options(values: dict, sigma: float, source: str) -> dict:
+    """Some of the run's options, each checked on its own (tol and radius
+    made floats); a refusal names the option and, through `source`, where
+    its value came from.  The evaluator's ranges are `EvalConfig`'s own
+    checks, and the radius may not exceed sigma."""
+    extra = set(values) - set(_OPTION_CHECKS)
+    if extra:
+        _fail(f"options{source}", f"unknown option keys {sorted(extra)}")
+    for name, (test, expected) in _OPTION_CHECKS.items():
+        if name in values and not test(values[name]):
+            _fail(f"options.{name}{source}", f"expected {expected}, got {values[name]!r}")
+    checked = {k: float(v) if k in ("tol", "radius") else v for k, v in values.items()}
+    try:
+        EvalConfig(**{k: checked[k] for k in ("tol", "k_max", "radius") if k in checked})
+    except ValueError as err:
+        _fail(f"options{source}", str(err))
+    if checked.get("radius", 0.0) > sigma:
+        _fail(f"options.radius{source}", "exceeds the certified ball radius sigma")
+    return checked
 
 
 @dataclass
@@ -150,7 +161,9 @@ def _parse_poly_records(records, dims: GradedDims, mode: str, where: str) -> Pol
         _fail(where, str(err))
 
 
-def _parse_extension(perm, fibers_raw, raw: dict, dims: GradedDims, mode, where: str) -> Extension:
+def _parse_extension(
+    perm: list, fibers_raw, sigma, xi, dims: GradedDims, mode: str, where: str
+) -> Extension:
     """The extension of a permutation already read from `where` and its
     fiber records, at the instance's sigma and xi."""
     try:
@@ -164,15 +177,15 @@ def _parse_extension(perm, fibers_raw, raw: dict, dims: GradedDims, mode, where:
         for x, rec in enumerate(fibers_raw)
     ]
     try:
-        return Extension(base, dims, fibers, sigma=raw["sigma"], xi=raw["xi"], mode=mode)
+        return Extension(base, dims, fibers, sigma=sigma, xi=xi, mode=mode)
     except ValueError as err:
         _fail(where, str(err))
 
 
 def parse_instance(raw: dict, digest: str | None = None, overrides: dict | None = None) -> Instance:
     """The instance of a JSON object.  `overrides` maps option names to
-    command-line values, which are laid over the file's `options` before
-    the run's options are built and checked."""
+    command-line values; the file's `options` and the overrides are each
+    checked, then the overrides are laid over the file's options."""
     if not isinstance(raw, dict):
         _fail("$", "instance must be a JSON object")
     for key in ("spectrum", "regularity", "base", "dims", "sigma", "xi", "mode", "fibers"):
@@ -189,9 +202,7 @@ def parse_instance(raw: dict, digest: str | None = None, overrides: dict | None 
         _fail("spectrum", "needs 'chi' and 'epsilon'")
     if not isinstance(spectrum["chi"], list):
         _fail("spectrum.chi", "expected a list of rationals")
-    chi = [
-        parse_fraction(c, f"spectrum.chi[{i}]") for i, c in enumerate(spectrum["chi"])
-    ]
+    chi = [parse_fraction(c, f"spectrum.chi[{i}]") for i, c in enumerate(spectrum["chi"])]
     eps = parse_fraction(spectrum["epsilon"], "spectrum.epsilon")
     try:
         spec = SpectrumSpec(chi, eps)
@@ -225,17 +236,20 @@ def parse_instance(raw: dict, digest: str | None = None, overrides: dict | None 
     if declared_p is not None and (not _is_int(declared_p) or declared_p != len(perm)):
         _fail("base.p", "does not match the permutation length")
 
-    ext = _parse_extension(perm, raw["fibers"], raw, dims, mode, "$")
+    ext = _parse_extension(perm, raw["fibers"], raw["sigma"], raw["xi"], dims, mode, "$")
 
-    commuting = None
-    commuting_n = None
-    commuting_alpha = None
+    commuting = commuting_n = commuting_alpha = None
     if raw.get("commuting") is not None:
         cm = raw["commuting"]
         if not isinstance(cm, dict):
             _fail("commuting", "expected an object")
-        cm_perm = _int_list(cm.get("permutation"), "commuting.permutation")
-        commuting = _parse_extension(cm_perm, cm.get("fibers"), raw, dims, mode, "commuting")
+        for key in ("permutation", "fibers"):
+            if cm.get(key) is None:
+                _fail("commuting", f"missing '{key}'")
+        cm_perm = _int_list(cm["permutation"], "commuting.permutation")
+        commuting = _parse_extension(
+            cm_perm, cm["fibers"], raw["sigma"], raw["xi"], dims, mode, "commuting"
+        )
         cm_reg = cm.get("regularity", {})
         if not isinstance(cm_reg, dict):
             _fail("commuting.regularity", "expected an object")
@@ -251,14 +265,10 @@ def parse_instance(raw: dict, digest: str | None = None, overrides: dict | None 
     opts = raw.get("options", {})
     if not isinstance(opts, dict):
         _fail("options", "expected an object")
-    extra = set(opts) - {f.name for f in fields(RunOptions)}
-    if extra:
-        _fail("options", f"unknown option keys {sorted(extra)}")
     sigma = float(raw["sigma"])
-    default_radius = min(RunOptions.radius, sigma / 5.0)
-    options = RunOptions(**{"radius": default_radius, **opts, **(overrides or {})})
-    if options.radius > sigma:
-        _fail("options.radius", "exceeds the certified ball radius sigma")
+    opts = _checked_options(opts, sigma, "")
+    flags = _checked_options(overrides or {}, sigma, " (command line)")
+    options = RunOptions(**{"radius": min(RunOptions.radius, sigma / 5.0), **opts, **flags})
 
     if digest is None:
         digest = digest_of(raw)

@@ -22,11 +22,10 @@ NAMES = ["worked_2block.json", "three_cycle.json"]
 
 
 @functools.cache
-def _evaluator(name: str) -> Evaluator:
+def _evaluator(name: str, force: bool = False) -> Evaluator:
     inst = load_instance(str(INSTANCES / name))
-    nf = build_taylor(
-        inst.ext, inst.spec, inst.n_taylor, inst.alpha, lift=inst.options.lift_strategy()
-    )
+    lift = inst.options.lift_strategy()
+    nf = build_taylor(inst.ext, inst.spec, inst.n_taylor, inst.alpha, lift=lift, force=force)
     return Evaluator(nf, inst.options.eval_config())
 
 
@@ -108,6 +107,23 @@ def test_order_of_contact_refuses_bad_rays(name, x, length, match):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_order_of_contact_refuses_radii_above_the_sample_radius(name):
+    # the certified stop bounds rows inside the sample radius only
+    ev = _evaluator(name)
+    with pytest.raises(ValueError, match=r"^radii must be at most the sample radius 0\.05, "):
+        ev.order_of_contact(0, [1.0] * ev.ext.dims.total, radii=[0.1, 0.05])
+
+
+def test_residual_refuses_a_step_that_leaves_the_radius():
+    # |t| is inside the radius, |F_x(t)| is not: the extension fails its
+    # contraction check and was built with force
+    ev = _evaluator("strictsub_linear.json", force=True)
+    assert ev.residual(0, (0.05, 0.0)) >= 0.0
+    with pytest.raises(ValueError, match=r"^\|F_x\(t\)\| = 0\.05677 exceeds the radius 0\.05$"):
+        ev.residual(0, (0.05, 0.05))
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_survey_refuses_a_negative_sample_count(name):
     with pytest.raises(ValueError, match="^samples must be non-negative, got -3$"):
         _evaluator(name).survey(0, -3)
@@ -142,6 +158,7 @@ def test_tol_flag_inf_exits_5_naming_tol(capsys):
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
     assert captured.err.startswith("error: ") and "tol" in captured.err
+    assert "options (command line): tol must be positive and finite" in captured.err
 
 
 def test_empty_permutation_is_refused(tmp_path, capsys):
@@ -159,15 +176,26 @@ def test_empty_permutation_is_refused(tmp_path, capsys):
     assert "permutation: empty permutation" in captured.err
 
 
-def test_flags_are_laid_over_the_file_options_in_one_parse(tmp_path):
+def test_flags_are_laid_over_the_file_options_in_one_parse():
     args = cli._parser().parse_args(["eval", "x.json", "--kmax", "7", "--force"])
     assert (args.k_max, args.force, args.seed) == (7, True, None)
-    name = "three_cycle.json"
-    inst = load_instance(str(INSTANCES / name), {"k_max": 7, "force": True})
+    name = str(INSTANCES / "three_cycle.json")
+    inst = load_instance(name, {"k_max": 7, "force": True})
     assert (inst.options.k_max, inst.options.force) == (7, True)
-    # a flag replaces a file option before it is read, and the radius is
-    # checked against sigma once, on the options the run uses
-    target = _write(tmp_path, name, lambda raw: raw.setdefault("options", {}).update(radius=10.0))
-    assert load_instance(target, {"radius": 0.01}).options.radius == 0.01
-    with pytest.raises(InstanceError, match=r"\.json: options\.radius: exceeds"):
-        load_instance(str(INSTANCES / name), {"radius": 10.0})
+    # a flag's refusal says that its value came from the command line
+    with pytest.raises(InstanceError, match=r"\.json: options\.radius \(command line\): exceeds"):
+        load_instance(name, {"radius": 10.0})
+
+
+@pytest.mark.parametrize(
+    "option, value, flag",
+    [("k_max", "ten", 7), ("radius", 10.0, 0.01), ("tol", -1.0, 1e-10)],
+    ids=["k_max", "radius", "tol"],
+)
+def test_a_bad_file_option_is_refused_under_a_flag(tmp_path, option, value, flag):
+    # whether a file is valid does not depend on the flags laid over it
+    edit = lambda raw: raw.setdefault("options", {}).update({option: value})  # noqa: E731
+    target = _write(tmp_path, "three_cycle.json", edit)
+    with pytest.raises(InstanceError, match=rf"\.json: options(\.{option}: |: {option} )") as err:
+        load_instance(target, {option: flag})
+    assert "command line" not in str(err.value)
