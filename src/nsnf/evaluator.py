@@ -20,6 +20,7 @@ bulk from the generator's raw 32-bit words (`ball_sample`).
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from itertools import repeat
@@ -51,10 +52,21 @@ class EvalConfig:
     def __post_init__(self):
         for name in ("tol", "radius"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if not _is_real(value) or not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not _is_int(self.k_max) or self.k_max < 1:
             raise ValueError(f"k_max must be an integer of at least 1, got {self.k_max!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_samples(samples) -> None:
+    if not _is_int(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
 
 
 @dataclass
@@ -612,7 +624,12 @@ class Evaluator:
         """A deterministic ball sample: base points uniformly, fiber vectors
         uniformly from the Euclidean ball of the radius (which keeps the sup
         norm inside it too), drawn from random.Random(seed) bit for bit as
-        the per-sample loop of `ball_sample` draws them."""
+        the per-sample loop of `ball_sample` draws them.  A sample count
+        that is not a non-negative integer, or a radius that is not
+        positive and finite, is refused by name."""
+        _check_samples(samples)
+        if not _is_real(radius) or not 0 < radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius!r}")
         return ball_sample(seed, self.base.p, self.ext.dims.total, samples, radius)
 
     def survey(
@@ -643,8 +660,7 @@ class Evaluator:
         if max(radii, default=0.0) > cfg.radius:
             raise ValueError(f"radii must be at most the sample radius {cfg.radius}, got {radii}")
         n = self.ext.dims.total
-        if samples < 0:
-            raise ValueError(f"samples must be non-negative, got {samples}")
+        _check_samples(samples)
         try:
             ray_xs, units, _ = self._rows([x for x, _ in rays], [_unit(d) for _, d in rays], 1.0)
         except ValueError as err:

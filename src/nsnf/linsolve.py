@@ -156,7 +156,7 @@ class Elimination:
             if v:
                 for r, scale in updates:
                     x[r] = x[r] - scale * v
-        return [v / p for v, p in zip(x, self.pivots)]
+        return self.scalars.divide(x, self.pivots)
 
     def solve_columns(self, b):
         """X with a X = B, B given as a list of rows; column by column, as

@@ -163,23 +163,39 @@ class _SolveSpan:
         self.keys, self.index = keys, {k: i for i, k in enumerate(keys)}
         self.degree, self.spec, self.guard = degree, spec, guard
 
-    def conjugate(self, coeffs, pre, powers: Powers) -> list:
-        """(position, coefficient) pairs of pre . R o post on the span, for
-        the map R with nonzero terms `coeffs` {key: value}; `pre` is a
-        matrix and `powers` the power table of the linear map post."""
-        dims, mode = powers.inner.source, powers.inner.mode
-        r = PolyMap._kept(dims, dims, self.degree, mode, coeffs)
-        img = left_linear(pre, compose_part(r, powers, self.degree)).coeffs
-        out, leaked = [], []
-        for k, w in img.items():
-            pos = self.index.get(k)
-            if pos is not None:
-                out.append((pos, w))
-            elif self.spec.type_class(dims.block_of[k[0]], dims.block_degrees(k[1])) in self.guard:
-                leaked.append(w)
-        if leaked and not mode.vanishes(leaked, max(map(abs, img.values()))):
-            raise BuildError("conjugation left its solve subspace")
+    def image(self, key, columns, powers: Powers) -> list:
+        """(position, coefficient) pairs of pre . R o post on the span for
+        the monomial R = `key` (coordinate c, exponents beta): pre's column
+        c times the degree-n part of post's image of t^beta, one product
+        per entry.  `columns` holds the nonzero (row, entry) pairs of each
+        column of the matrix pre, and `powers` is the power table of the
+        linear map post.  The leak guard reads this column's image alone."""
+        index, out, outside = self.index, [], []
+        column = columns[key[0]]
+        for e, v in powers.part(key[1], self.degree):
+            for r, m in column:
+                w = m * v
+                if w:
+                    pos = index.get((r, e))
+                    if pos is None:
+                        outside.append((r, e, w))
+                    else:
+                        out.append((pos, w))
+        if outside:
+            dims, mode, type_class = powers.inner.source, powers.inner.mode, self.spec.type_class
+            leaked = [
+                w for r, e, w in outside
+                if type_class(dims.block_of[r], dims.block_degrees(e)) in self.guard
+            ]
+            size = max(abs(w) for *_, w in out + outside)
+            if leaked and not mode.vanishes(leaked, size):
+                raise BuildError("conjugation left its solve subspace")
         return out
+
+
+def _columns(matrix) -> list:
+    """The nonzero (row, entry) pairs of each column of a square matrix."""
+    return [[(r, m) for r, m in enumerate(column) if m] for column in zip(*matrix)]
 
 
 def _cycle_maps(base: FiniteBase, pairs, pull: bool):
@@ -207,11 +223,13 @@ def _cycle_maps(base: FiniteBase, pairs, pull: bool):
 
 def _i_minus_m(span: _SolveSpan, pre, powers: Powers) -> list[dict]:
     """Rows {column: entry} of I - M on the span, for M the conjugation
-    R -> pre . R o post by a return pair."""
+    R -> pre . R o post by a return pair, assembled from the image of each
+    key."""
     one, zero = powers.inner.mode.one, powers.inner.mode.zero
+    columns = _columns(pre)
     rows = [{i: one} for i in range(len(span.keys))]
     for col, key in enumerate(span.keys):
-        for i, w in span.conjugate({key: one}, pre, powers):
+        for i, w in span.image(key, columns, powers):
             rows[i][col] = (one if i == col else zero) - w
     return [{k: w for k, w in row.items() if w} for row in rows]
 
@@ -239,11 +257,14 @@ class _CycleSystem:
         self.system = linsolve.Elimination.of_rows(_i_minus_m(span, *ret), ret[1].inner.mode)
 
     def _step(self, j, vec, rhs):
+        """b_j plus A_j applied to vec: the images of vec's nonzero entries."""
         pre, powers = self.steps[j]
+        columns, image = _columns(pre), self.span.image
         out = list(rhs[j])
-        coeffs = {k: v for k, v in zip(self.span.keys, vec) if v}
-        for i, w in self.span.conjugate(coeffs, pre, powers):
-            out[i] = w + out[i]
+        for key, v in zip(self.span.keys, vec):
+            if v:
+                for i, w in image(key, columns, powers):
+                    out[i] = out[i] + v * w
         return out
 
     def solve(self, rhs):

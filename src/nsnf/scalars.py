@@ -2,9 +2,10 @@
 
 Each mode is one policy object that holds every decision depending on it:
 zero and one, coercion of input scalars, conversion of an exact value, the
-one vanishing test, the pivot rule of an elimination, and whether checks
-are exact.  A policy is its mode's name as a `str` subclass, so it compares
-equal to "rational" or "float" and reports write it as that string.
+one vanishing test, the pivot rule of an elimination and the division by
+its pivots, and whether checks are exact.  A policy is its mode's name as
+a `str` subclass, so it compares equal to "rational" or "float" and
+reports write it as that string.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ FLOAT_TOL = 1e-9
 
 class Scalars(str):
     """A scalar mode.  Each mode defines `type` (the class of its
-    coefficients), `exact`, `zero`, `one`, `from_fraction`, `vanishes` and
-    `pivot`."""
+    coefficients), `exact`, `zero`, `one`, `from_fraction`, `vanishes`,
+    `pivot` and `divide`."""
 
     __slots__ = ()
 
@@ -48,6 +49,12 @@ class _Rational(Scalars):
         """The first candidate row: any nonzero pivot is exact."""
         return min(rows, default=None)
 
+    def divide(self, values, pivots) -> list:
+        """values[i] / pivots[i]; a zero value gives the exact zero with no
+        division, an int zero included."""
+        zero = self.zero
+        return [v / p if v else zero for v, p in zip(values, pivots)]
+
 
 class _Float(Scalars):
     __slots__ = ()
@@ -70,6 +77,11 @@ class _Float(Scalars):
             if mag > best:
                 best, pick = mag, r
         return pick
+
+    def divide(self, values, pivots) -> list:
+        """values[i] / pivots[i], zeros divided too: a signed zero takes
+        the sign of its quotient."""
+        return [v / p for v, p in zip(values, pivots)]
 
 
 RATIONAL = _Rational("rational")

@@ -10,10 +10,21 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linsolve
 from .base import Extension
 from .evaluator import EvalConfig, Evaluator, evaluate_at, interleave
 from .normal_form import NormalFormResult, ResonanceResult, pinned_lift
-from .polymap import GROUP_TAGS, PolyMap, Powers, Sum, agrees, compose, invert, project
+from .polymap import (
+    GROUP_TAGS,
+    PolyMap,
+    Powers,
+    Sum,
+    agrees,
+    compose,
+    from_linear,
+    project,
+    zero_map,
+)
 from .spectrum import TypeClass, criticality, degree_bound
 
 
@@ -46,44 +57,90 @@ def _same_instance(a: Extension, b: Extension) -> bool:
     )
 
 
-def _witness(maps, spec, tag) -> TransitionWitness:
+def _witness(maps, spec, tag, gaps=()) -> TransitionWitness:
+    """The class verdict on the maps; a gap (point, relation, cap, size)
+    of a relation that does not vanish to its cap fails the witness at
+    stage "degree" and leaves its maps and off-class sizes as they are."""
     off_classes = frozenset(TypeClass) - GROUP_TAGS[tag]
     offs, oks = [], []
     for g in maps:
         off = project(g, spec, off_classes)
         offs.append(float(off.max_abs()))
         oks.append(off.vanishes(scale=g))
-    return TransitionWitness(
-        tag=tag,
-        maps=tuple(maps),
-        off_class=tuple(offs),
-        ok=all(oks),
-    )
+    witness = TransitionWitness(tag=tag, maps=tuple(maps), off_class=tuple(offs), ok=all(oks))
+    if gaps:
+        x, relation, cap, size = gaps[0]
+        witness.ok, witness.stage = False, "degree"
+        witness.detail = f"point {x}: {relation} keeps a term of size {size:.3e} up to degree {cap}"
+    return witness
 
 
-def _transitions(maps_a, maps_b, d: int) -> tuple[PolyMap, ...]:
-    """Degree-d jets of a_x composed with the inverse of b_x, per point."""
-    return tuple(compose(a, invert(b, d), d) for a, b in zip(maps_a, maps_b))
+def _transition(a: PolyMap, b: PolyMap, d: int, cap: int):
+    """(T, gap) for the degree-d map T with T o b = a up to degree d.
+
+    One power table of b at the cap serves the solve and the check.  T_1
+    is A B^-1 for the linear parts A, B; T_k is the degree-k residue
+    (a - T_{<k} o b)_k composed with B^-1, or the residue itself when B is
+    the identity, as for every H.  `gap` is None when a - T o b vanishes
+    to the cap by the mode's test, relative to the size of a; otherwise
+    it is the largest coefficient of that difference."""
+    dims, mode = b.source, b.mode
+    powers = Powers(b, cap)
+    lin = b.linear_matrix()
+    ident = linsolve.identity(dims.total, mode.one)
+    # B^-1, as the solution X of B X = I; None for the identity
+    post = None
+    if lin != ident:
+        inv = linsolve.solve_columns(lin, ident)
+        post = Powers(from_linear(inv, dims, dims, 1, mode), d)
+    t = zero_map(dims, a.target, d, mode)
+    for k in range(1, d + 1):
+        total = Sum(mode)
+        total.add_map(a.homogeneous_part(k))
+        total.add_composition(t, powers, -1, k)
+        residue = total.to_map(dims, a.target, k)
+        t = t.add(residue if post is None else post.compose(residue, k))
+    check = Sum(mode)
+    scale = check.add_map(a.jet(cap))
+    check.add_composition(t, powers, -1)
+    residual = check.to_map(dims, a.target, cap)
+    return t, None if residual.vanishes(scale=scale) else float(residual.max_abs())
+
+
+def _transitions(pairs, d: int, cap: int, relation: str):
+    """(maps, gaps): the transition T_x of `_transition` for every pair
+    (a_x, b_x), and a gap (point, relation, cap, size) for every point
+    where a_x - T_x o b_x does not vanish to the cap."""
+    maps, gaps = [], []
+    for x, (a, b) in enumerate(pairs):
+        t, gap = _transition(a, b, d, cap)
+        maps.append(t)
+        if gap is not None:
+            gaps.append((x, relation, cap, gap))
+    return maps, gaps
 
 
 def transition_jets(nf_a: NormalFormResult, nf_b: NormalFormResult) -> tuple[PolyMap, ...]:
-    """Degree-d jets of H_a_x composed with the inverse of H_b_x."""
-    return _transitions(nf_a.h_taylor, nf_b.h_taylor, degree_bound(nf_a.spec))
+    """Degree-d jets of the transitions T_x with T_x o H_b_x = H_a_x."""
+    d = degree_bound(nf_a.spec)
+    return tuple(_transition(a, b, d, d)[0] for a, b in zip(nf_a.h_taylor, nf_b.h_taylor))
+
+
+def _uniqueness(nf_a: NormalFormResult, nf_b: NormalFormResult):
+    """The transitions T_x o H_b_x = H_a_x of two builds of one instance,
+    with their gaps to the Taylor degree N."""
+    if not _same_instance(nf_a.ext, nf_b.ext) or nf_a.spec != nf_b.spec:
+        raise VerifyError("inputs", "builds come from different instances")
+    pairs = zip(nf_a.h_taylor, nf_b.h_taylor)
+    return _transitions(pairs, degree_bound(nf_a.spec), nf_a.n_taylor, "H_a - T o H_b")
 
 
 def check_uniqueness(nf_a: NormalFormResult, nf_b: NormalFormResult) -> TransitionWitness:
-    """Two builds of one instance differ by a sub-resonance transition family."""
-    if not _same_instance(nf_a.ext, nf_b.ext) or nf_a.spec != nf_b.spec:
-        raise VerifyError("inputs", "builds come from different instances")
-    return _witness(transition_jets(nf_a, nf_b), nf_a.spec, "sub-resonance")
-
-
-def full_changes(nf: NormalFormResult, red: ResonanceResult) -> tuple[PolyMap, ...]:
-    """Degree-d jets of the composite coordinate change H'_x o H_x."""
-    d = degree_bound(nf.spec)
-    return tuple(
-        compose(hp.poly, h, d) for hp, h in zip(red.h_prime, nf.h_taylor)
-    )
+    """Two builds of one instance differ by a sub-resonance transition
+    family: T_x o H_b_x = H_a_x to the Taylor degree N, T_x of degree at
+    most d."""
+    maps, gaps = _uniqueness(nf_a, nf_b)
+    return _witness(maps, nf_a.spec, "sub-resonance", gaps)
 
 
 def check_uniqueness_resonance(
@@ -92,12 +149,19 @@ def check_uniqueness_resonance(
     nf_b: NormalFormResult,
     red_b: ResonanceResult,
 ) -> TransitionWitness:
-    """Transitions between reduced coordinate changes stay resonance."""
-    if not _same_instance(nf_a.ext, nf_b.ext) or nf_a.spec != nf_b.spec:
-        raise VerifyError("inputs", "builds come from different instances")
-    d = degree_bound(nf_a.spec)
-    maps = _transitions(full_changes(nf_a, red_a), full_changes(nf_b, red_b), d)
-    return _witness(maps, nf_a.spec, "resonance")
+    """Transitions between reduced coordinate changes stay resonance.
+
+    The full changes are H'_x o H_x, so their transition S_x solves
+    S_x o H'_b_x = H'_a_x o T_x for the transition T_x of the builds;
+    every map there has degree at most d.  Both relations are checked to
+    the Taylor degree N."""
+    ts, gaps = _uniqueness(nf_a, nf_b)
+    n = nf_a.n_taylor
+    pairs = [
+        (compose(ha.poly, t, n), hb.poly) for ha, t, hb in zip(red_a.h_prime, ts, red_b.h_prime)
+    ]
+    maps, more = _transitions(pairs, degree_bound(nf_a.spec), n, "H'_a o T - S o H'_b")
+    return _witness(maps, nf_a.spec, "resonance", gaps + more)
 
 
 def pinned_rebuild_matches(nf: NormalFormResult) -> bool:
@@ -149,8 +213,9 @@ def check_centralizer(
 
     Stages: regularity/criticality of the commuting extension, base-map
     commutation, fiber-map commutation (exact in rational mode), splitting
-    preservation of its derivative at the zero section, then the class
-    verdict on Q_x, optionally cross-checked by pointwise limit evaluation.
+    preservation of its derivative at the zero section, then the relations
+    that define Q_x, to degree N', and the class verdict on Q_x, optionally
+    cross-checked by pointwise limit evaluation.
     """
     spec, ext_f = nf.spec, nf.ext
     alpha_prime = Fraction(alpha_prime)
@@ -192,18 +257,18 @@ def check_centralizer(
                 "derivative", f"derivative at the zero section mixes blocks at point {x}"
             )
 
-    d = degree_bound(spec)
-    if reduced is None:
-        changes = nf.h_taylor
-        tag = "sub-resonance"
-    else:
-        changes = full_changes(nf, reduced)
-        tag = "resonance"
-    q_maps = []
-    for x in range(f.p):
-        inner = compose(ext_g.fiber(x), invert(changes[x], d), d)
-        q_maps.append(compose(changes[g.image(x)], inner, d))
-    witness = _witness(q_maps, spec, tag)
+    # Q_x o H_x = H_{g(x)} o G_x, then with a reduction
+    # Q'_x o H'_x = H'_{g(x)} o Q_x, both to degree N'
+    d, h = degree_bound(spec), nf.h_taylor
+    pairs = [(compose(h[g.image(x)], ext_g.fiber(x), n_prime), h[x]) for x in range(f.p)]
+    q_maps, gaps = _transitions(pairs, d, n_prime, "H_g(x) o G_x - Q_x o H_x")
+    tag = "sub-resonance"
+    if reduced is not None:
+        hp = [e.poly for e in reduced.h_prime]
+        pairs = [(compose(hp[g.image(x)], q_maps[x], n_prime), hp[x]) for x in range(f.p)]
+        q_maps, more = _transitions(pairs, d, n_prime, "H'_g(x) o Q_x - Q'_x o H'_x")
+        gaps, tag = gaps + more, "resonance"
+    witness = _witness(q_maps, spec, tag, gaps)
 
     if samples:
         ev = Evaluator(nf, cfg)

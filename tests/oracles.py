@@ -630,3 +630,76 @@ def i_minus_m_reference(pairs, keys, spec, guard, pull):
             entries[k] = (one if k == i else zero) - v
         out.append({k: w for k, w in entries.items() if w})
     return out
+
+
+def conjugate_reference(span, coeffs, pre, powers):
+    """A frozen copy of `_SolveSpan.conjugate`, which formed every
+    conjugation image on a solve span before the cycle systems read the
+    image of each key: (position, coefficient) pairs of pre . R o post on
+    the span for the map R with nonzero terms `coeffs` {key: value}, built
+    as a map, composed with `compose_part` and multiplied by `left_linear`;
+    image terms outside the span whose class lies in the span's guard must
+    vanish relative to the size of the whole image."""
+    from nsnf.normal_form import BuildError
+    from nsnf.polymap import PolyMap, compose_part, left_linear
+
+    dims, mode = powers.inner.source, powers.inner.mode
+    r = PolyMap._kept(dims, dims, span.degree, mode, coeffs)
+    img = left_linear(pre, compose_part(r, powers, span.degree)).coeffs
+    out, leaked = [], []
+    for k, w in img.items():
+        pos = span.index.get(k)
+        if pos is not None:
+            out.append((pos, w))
+        elif span.spec.type_class(dims.block_of[k[0]], dims.block_degrees(k[1])) in span.guard:
+            leaked.append(w)
+    if leaked and not mode.vanishes(leaked, max(map(abs, img.values()))):
+        raise BuildError("conjugation left its solve subspace")
+    return out
+
+
+def conjugate_i_minus_m_reference(span, pre, powers):
+    """Rows {column: entry} of I - M as `_i_minus_m` assembled them with one
+    `conjugate_reference` call per key."""
+    one, zero = powers.inner.mode.one, powers.inner.mode.zero
+    rows = [{i: one} for i in range(len(span.keys))]
+    for col, key in enumerate(span.keys):
+        for i, w in conjugate_reference(span, {key: one}, pre, powers):
+            rows[i][col] = (one if i == col else zero) - w
+    return [{k: w for k, w in row.items() if w} for row in rows]
+
+
+def conjugate_step_reference(span, pair, vec, rhs_j):
+    """One cycle step as `_CycleSystem._step` took it with
+    `conjugate_reference`: rhs_j plus the conjugation of the map whose
+    terms are vec's nonzero entries by the step pair (pre, post table)."""
+    pre, powers = pair
+    out = list(rhs_j)
+    coeffs = {k: v for k, v in zip(span.keys, vec) if v}
+    for i, w in conjugate_reference(span, coeffs, pre, powers):
+        out[i] = w + out[i]
+    return out
+
+
+def inverse_transition_reference(a, b, d):
+    """The degree-d jet of a o b^-1 as the verify stage formed every
+    transition before it solved T o b = a: a composed with the formal
+    inverse of b, both truncated at d."""
+    from nsnf.polymap import compose, invert
+
+    return compose(a, invert(b, d), d)
+
+
+def centralizer_reference(changes, ext_g, d):
+    """The degree-d jets Q_x = changes_{g(x)} o G_x o changes_x^-1 as
+    `verify.check_centralizer` formed them before it solved Q_x o changes_x
+    = changes_{g(x)} o G_x: through the formal inverse, every composition
+    truncated at d."""
+    from nsnf.polymap import compose, invert
+
+    g = ext_g.base
+    out = []
+    for x in range(g.p):
+        inner = compose(ext_g.fiber(x), invert(changes[x], d), d)
+        out.append(compose(changes[g.image(x)], inner, d))
+    return out

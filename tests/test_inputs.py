@@ -130,14 +130,36 @@ def test_survey_refuses_a_negative_sample_count(name):
 
 
 @pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda ev: ev.sample_points(0, -3, 0.05), "^samples must be non-negative, got -3$"),
+        (lambda ev: ev.sample_points(0, 2.5, 0.05), "^samples must be an integer, got 2.5$"),
+        (lambda ev: ev.sample_points(0, 5, -1.0), "^radius must be positive and finite, got -1.0$"),
+        (lambda ev: ev.sample_points(0, 5, "x"), "^radius must be positive and finite, got 'x'$"),
+        (lambda ev: ev.survey(0, 2.5), "^samples must be an integer, got 2.5$"),
+    ],
+    ids=["samples-negative", "samples-float", "radius-negative", "radius-str", "survey-float"],
+)
+@pytest.mark.parametrize("name", NAMES)
+def test_sample_arguments_are_refused_by_name(name, call, match):
+    # raised from random.getrandbits or as a TypeError, naming no argument
+    with pytest.raises(ValueError, match=match):
+        call(_evaluator(name))
+
+
+@pytest.mark.parametrize(
     "fields, named",
     [
         ({"tol": math.inf}, "tol"),
         ({"radius": math.inf}, "radius"),
         ({"k_max": 2.5}, "k_max"),
         ({"k_max": True}, "k_max"),
+        # these raised a TypeError from the comparison, naming no field
+        ({"tol": "x"}, "tol"),
+        ({"radius": None}, "radius"),
+        ({"tol": True}, "tol"),
     ],
-    ids=["tol-inf", "radius-inf", "k_max-float", "k_max-bool"],
+    ids=["tol-inf", "radius-inf", "k_max-float", "k_max-bool", "tol-str", "radius-none", "tol-bool"],
 )
 def test_eval_config_refuses_non_finite_and_non_integer_fields(fields, named):
     with pytest.raises(ValueError, match=f"^{named} must be"):

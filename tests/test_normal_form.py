@@ -168,7 +168,7 @@ def _t2_squared_operator(mode, mixing):
     map that mixes t1 into t2; the image leaks into other NON_SUB groups."""
     span = _t2_squared_span()
     pre, powers = _mixing_pair(mode, mixing)
-    return [[w for _, w in span.conjugate({span.keys[0]: pre[0][0]}, pre, powers)]]
+    return [[w for _, w in span.image(span.keys[0], nfm._columns(pre), powers)]]
 
 
 def test_operator_guard_rejects_leaving_the_group():
@@ -509,7 +509,7 @@ def test_diagonal_plan_keeps_each_type_in_its_own_block(case, mode):
         for _, steps, ret in nfm._cycle_maps(ext.base, pairs, True):
             for pre, powers in steps:
                 for col, key in enumerate(keys):
-                    image = span.conjugate({key: ext.mode.one}, pre, powers)
+                    image = span.image(key, nfm._columns(pre), powers)
                     assert all(labels[i] == labels[col] for i, _ in image)
             for i, row in enumerate(nfm._i_minus_m(span, *ret)):
                 assert all(labels[col] == labels[i] for col in row)

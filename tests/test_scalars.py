@@ -116,3 +116,22 @@ def test_all_int_matrix_keeps_the_float_path():
     inv = linsolve.invert([[0, 1], [2, 3]])
     assert inv == [[-1.5, 0.5], [1.0, 0.0]]
     assert all(type(v) is float for row in inv for v in row)
+
+
+def test_exact_division_skips_zero_values():
+    # a zero value gives the policy's exact zero with no division, so even
+    # a zero divisor raises nothing there; an int zero comes back exact
+    got = RATIONAL.divide([0, F(0), F(3)], [F(0), F(2), F(4)])
+    assert got == [F(0), F(0), F(3, 4)] and _exact([got])
+
+
+def test_float_division_keeps_the_sign_of_zero_quotients():
+    got = FLOAT.divide([0.0, -0.0, 0.0, -0.0, 1.0], [2.0, 2.0, -2.0, -2.0, -4.0])
+    assert [math.copysign(1.0, v) for v in got] == [1.0, -1.0, -1.0, 1.0, -1.0]
+    assert got[-1] == -0.25
+
+
+def test_exact_solve_returns_exact_zeros_for_zero_entries():
+    # the right-hand side's zeros stay zero through the replay
+    x = linsolve.solve([[F(2), F(0)], [F(0), F(3)]], [0, F(1)])
+    assert x == [F(0), F(1, 3)] and _exact([x])
