@@ -212,9 +212,12 @@ def _stage_verify(
 
     try:
         other = nf.rebuild(seeded_lift(opts.seed + 1))
-        record("uniqueness", witness_json(check_uniqueness(nf, other)))
+        uniq = check_uniqueness(nf, other)
+        # the rebuild's power tables of H served that transition solve only
+        other.h_powers = None
+        record("uniqueness", witness_json(uniq))
         red_other = resonance_reduce(other, lift=inst.options.lift_strategy())
-        uniq_res = check_uniqueness_resonance(nf, red, other, red_other)
+        uniq_res = check_uniqueness_resonance(nf, red, other, red_other, uniq)
         record("uniqueness_resonance", witness_json(uniq_res))
         record("pinned_rebuild", {"ok": pinned_rebuild_matches(nf)})
 

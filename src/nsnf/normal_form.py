@@ -320,19 +320,23 @@ def _defects(h, fixed_powers, normal, base: FiniteBase, degree) -> list[PolyMap]
     return out
 
 
-def _check_conjugacy(h, fixed_powers, normal, base: FiniteBase, cap, what) -> None:
+def _check_conjugacy(h, fixed_powers, normal, base: FiniteBase, cap, what) -> list[Powers]:
     """H_{f(x)} o F_x = P_x o H_x at every base point, as jets: the left
     side truncated at the cap of `fixed_powers`, the right at `cap`, and
     the difference relative to the size of the left side.  Both sides are
-    composed afresh from H, P and F."""
+    composed afresh from H, P and F; the power tables of the H_x at `cap`
+    that the right sides read are returned."""
+    tables = []
     for x in range(base.p):
         outer = h[base.image(x)]
         total = Sum(outer.mode)
         lhs = total.add_composition(outer, fixed_powers[x])
-        total.add_composition(normal[x], Powers(h[x], cap), -1)
+        tables.append(Powers(h[x], cap))
+        total.add_composition(normal[x], tables[x], -1)
         residual = total.to_map(outer.source, outer.target, cap)
         if not residual.vanishes(scale=lhs):
             raise BuildError(f"{what} residual {float(residual.max_abs()):.3e}")
+    return tables
 
 
 def _residue(r, lin_powers: Powers, h_next, matrix, h_here, degree) -> PolyMap:
@@ -367,6 +371,10 @@ class NormalFormResult:
     validation: ValidationReport
     # the lift-independent part of the build, shared by its rebuilds
     plan: "TaylorPlan | None" = field(default=None, compare=False, repr=False)
+    # the power tables Powers(H_x, N) of the final jet check, kept by
+    # `solve_taylor` for a check of this result against another build
+    # (see `verify.check_uniqueness`); `build_taylor` drops them
+    h_powers: "list[Powers] | None" = field(default=None, compare=False, repr=False)
 
     def p_poly(self, x: int) -> PolyMap:
         return self.p_normal[x].poly
@@ -387,14 +395,16 @@ class NormalFormResult:
 
     def rebuild(self, lift: LiftStrategy) -> "NormalFormResult":
         """This build's extension solved under another lift, on this
-        result's plan; a result without one (see `to_float`) plans afresh."""
+        result's plan; a result without one (see `to_float`) plans afresh.
+        The rebuild keeps the power tables of its jet check (`h_powers`)."""
         plan = self.plan or plan_taylor(
             self.ext, self.spec, self.n_taylor, self.alpha, force=not self.certified
         )
         return solve_taylor(plan, lift)
 
     def to_float(self) -> "NormalFormResult":
-        """The result in binary64; the rational plan is not carried over."""
+        """The result in binary64; the rational plan and power tables are
+        not carried over."""
         if not self.ext.mode.exact:
             return self
         return replace(
@@ -405,6 +415,7 @@ class NormalFormResult:
             lift_sections={k: v.to_float() for k, v in self.lift_sections.items()},
             certified_exponents=dict(self.certified_exponents),
             plan=None,
+            h_powers=None,
         )
 
 
@@ -526,10 +537,9 @@ def plan_taylor(
     )
 
 
-def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFormResult:
-    """Solve the conjugacy degree by degree up to N on a plan, under one
-    lift.  All class and vanishing assertions are exact in rational mode."""
-    lift = lift or complement_lift()
+def _solve(plan: TaylorPlan, lift: LiftStrategy):
+    """(H, P, sections): the degree-by-degree solve of `solve_taylor`,
+    every per-degree residue gate included, without the final jet check."""
     ext, spec, n_taylor = plan.ext, plan.spec, plan.n_taylor
     dims, mode, base, p = ext.dims, ext.mode, ext.base, ext.base.p
     d = plan.validation.constants.d
@@ -561,14 +571,26 @@ def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFo
                 # drops float dust below tolerance; keeps all of pn in rational mode
                 p_poly[x] = p_poly[x].add(project(pn, spec, SUB_RESONANCE))
             h[x] = h[x].add(hn[x], cap=n_taylor)
+    return h, p_poly, sections
 
-    _check_conjugacy(h, fiber_powers, p_poly, base, n_taylor, "jet conjugacy")
+
+def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFormResult:
+    """Solve the conjugacy degree by degree up to N on a plan, under one
+    lift, and check the jets of the result.  All class and vanishing
+    assertions are exact in rational mode.  The result keeps the check's
+    power tables of H (`h_powers`)."""
+    lift = lift or complement_lift()
+    h, p_poly, sections = _solve(plan, lift)
+    base, spec = plan.ext.base, plan.spec
+    h_powers = _check_conjugacy(
+        h, plan.fiber_powers, p_poly, base, plan.n_taylor, "jet conjugacy"
+    )
 
     p_group = tuple(make_group_element(pm, spec, "sub-resonance") for pm in p_poly)
     return NormalFormResult(
-        ext=ext,
+        ext=plan.ext,
         spec=spec,
-        n_taylor=n_taylor,
+        n_taylor=plan.n_taylor,
         alpha=plan.alpha,
         h_taylor=tuple(h),
         p_normal=p_group,
@@ -579,6 +601,7 @@ def solve_taylor(plan: TaylorPlan, lift: LiftStrategy | None = None) -> NormalFo
         certified=plan.validation.passed,
         validation=plan.validation,
         plan=plan,
+        h_powers=h_powers,
     )
 
 
@@ -602,9 +625,13 @@ def build_taylor(
     degree, and the cycle systems (each the elimination of I - M for its
     cycle's return-map operator M) do not.  They make up the plan kept on
     the result, on which `NormalFormResult.rebuild` solves other lifts.
+    The power tables of the jet check are dropped: the build lives as long
+    as its job.
     """
     plan = plan_taylor(ext, spec, n_taylor, alpha, force=force)
-    return solve_taylor(plan, lift)
+    nf = solve_taylor(plan, lift)
+    nf.h_powers = None
+    return nf
 
 
 def perturb_lift(

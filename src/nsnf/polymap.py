@@ -210,9 +210,12 @@ class PolyMap:
         )
 
     def to_float(self) -> "PolyMap":
+        """The map in binary64; a coefficient that underflows to zero is
+        dropped.  The terms are valid already, so they are not checked."""
         if not self.mode.exact:
             return self
-        return self.map_coeffs(FLOAT.from_fraction, mode=FLOAT)
+        coeffs = {k: FLOAT.from_fraction(v) for k, v in self.coeffs.items()}
+        return PolyMap._trusted(self.source, self.target, self.cap, FLOAT, coeffs)
 
     def add(self, other: "PolyMap", cap: int | None = None) -> "PolyMap":
         self._check_compatible(other)

@@ -13,7 +13,7 @@ import numpy as np
 from . import linsolve
 from .base import Extension
 from .evaluator import EvalConfig, Evaluator, evaluate_at, interleave
-from .normal_form import NormalFormResult, ResonanceResult, pinned_lift
+from .normal_form import NormalFormResult, ResonanceResult, _solve, pinned_lift
 from .polymap import (
     GROUP_TAGS,
     PolyMap,
@@ -46,6 +46,9 @@ class TransitionWitness:
     ok: bool
     stage: str = "class"
     detail: str = ""
+    # (point, relation, cap, size) of every relation that does not vanish
+    # to its cap; the first one is the detail of a failed "degree" stage
+    gaps: tuple = ()
 
 
 def _same_instance(a: Extension, b: Extension) -> bool:
@@ -67,7 +70,9 @@ def _witness(maps, spec, tag, gaps=()) -> TransitionWitness:
         off = project(g, spec, off_classes)
         offs.append(float(off.max_abs()))
         oks.append(off.vanishes(scale=g))
-    witness = TransitionWitness(tag=tag, maps=tuple(maps), off_class=tuple(offs), ok=all(oks))
+    witness = TransitionWitness(
+        tag=tag, maps=tuple(maps), off_class=tuple(offs), ok=all(oks), gaps=tuple(gaps)
+    )
     if gaps:
         x, relation, cap, size = gaps[0]
         witness.ok, witness.stage = False, "degree"
@@ -75,17 +80,20 @@ def _witness(maps, spec, tag, gaps=()) -> TransitionWitness:
     return witness
 
 
-def _transition(a: PolyMap, b: PolyMap, d: int, cap: int):
+def _transition(a: PolyMap, b: PolyMap, d: int, cap: int, powers: Powers | None = None):
     """(T, gap) for the degree-d map T with T o b = a up to degree d.
 
-    One power table of b at the cap serves the solve and the check.  T_1
+    One power table of b at the cap serves the solve and the check:
+    `powers` when it is such a table (as in a build's `h_powers`), else a
+    fresh one.  T_1
     is A B^-1 for the linear parts A, B; T_k is the degree-k residue
     (a - T_{<k} o b)_k composed with B^-1, or the residue itself when B is
     the identity, as for every H.  `gap` is None when a - T o b vanishes
     to the cap by the mode's test, relative to the size of a; otherwise
     it is the largest coefficient of that difference."""
     dims, mode = b.source, b.mode
-    powers = Powers(b, cap)
+    if powers is None or powers.inner is not b or powers.cap != cap:
+        powers = Powers(b, cap)
     lin = b.linear_matrix()
     ident = linsolve.identity(dims.total, mode.one)
     # B^-1, as the solution X of B X = I; None for the identity
@@ -107,13 +115,14 @@ def _transition(a: PolyMap, b: PolyMap, d: int, cap: int):
     return t, None if residual.vanishes(scale=scale) else float(residual.max_abs())
 
 
-def _transitions(pairs, d: int, cap: int, relation: str):
+def _transitions(pairs, d: int, cap: int, relation: str, tables=None):
     """(maps, gaps): the transition T_x of `_transition` for every pair
-    (a_x, b_x), and a gap (point, relation, cap, size) for every point
-    where a_x - T_x o b_x does not vanish to the cap."""
+    (a_x, b_x), on the power table `tables[x]` of b_x where one is given,
+    and a gap (point, relation, cap, size) for every point where
+    a_x - T_x o b_x does not vanish to the cap."""
     maps, gaps = [], []
     for x, (a, b) in enumerate(pairs):
-        t, gap = _transition(a, b, d, cap)
+        t, gap = _transition(a, b, d, cap, tables[x] if tables else None)
         maps.append(t)
         if gap is not None:
             gaps.append((x, relation, cap, gap))
@@ -128,11 +137,13 @@ def transition_jets(nf_a: NormalFormResult, nf_b: NormalFormResult) -> tuple[Pol
 
 def _uniqueness(nf_a: NormalFormResult, nf_b: NormalFormResult):
     """The transitions T_x o H_b_x = H_a_x of two builds of one instance,
-    with their gaps to the Taylor degree N."""
+    with their gaps to the Taylor degree N, solved on the power tables of
+    H_b that nf_b's jet check built where it kept them."""
     if not _same_instance(nf_a.ext, nf_b.ext) or nf_a.spec != nf_b.spec:
         raise VerifyError("inputs", "builds come from different instances")
     pairs = zip(nf_a.h_taylor, nf_b.h_taylor)
-    return _transitions(pairs, degree_bound(nf_a.spec), nf_a.n_taylor, "H_a - T o H_b")
+    d, n = degree_bound(nf_a.spec), nf_a.n_taylor
+    return _transitions(pairs, d, n, "H_a - T o H_b", nf_b.h_powers)
 
 
 def check_uniqueness(nf_a: NormalFormResult, nf_b: NormalFormResult) -> TransitionWitness:
@@ -148,14 +159,20 @@ def check_uniqueness_resonance(
     red_a: ResonanceResult,
     nf_b: NormalFormResult,
     red_b: ResonanceResult,
+    uniqueness: TransitionWitness | None = None,
 ) -> TransitionWitness:
     """Transitions between reduced coordinate changes stay resonance.
 
     The full changes are H'_x o H_x, so their transition S_x solves
     S_x o H'_b_x = H'_a_x o T_x for the transition T_x of the builds;
     every map there has degree at most d.  Both relations are checked to
-    the Taylor degree N."""
-    ts, gaps = _uniqueness(nf_a, nf_b)
+    the Taylor degree N.  The T_x and their gaps are read off
+    `uniqueness`, the witness of `check_uniqueness(nf_a, nf_b)`, where it
+    is given, and solved here otherwise."""
+    if uniqueness is None:
+        ts, gaps = _uniqueness(nf_a, nf_b)
+    else:
+        ts, gaps = uniqueness.maps, list(uniqueness.gaps)
     n = nf_a.n_taylor
     pairs = [
         (compose(ha.poly, t, n), hb.poly) for ha, t, hb in zip(red_a.h_prime, ts, red_b.h_prime)
@@ -165,9 +182,19 @@ def check_uniqueness_resonance(
 
 
 def pinned_rebuild_matches(nf: NormalFormResult) -> bool:
-    """Pinning the sub-resonance jets of a build reproduces it bitwise."""
-    again = nf.rebuild(pinned_lift(nf.sub_res_jets()))
-    return again.h_taylor == nf.h_taylor and again.p_normal == nf.p_normal
+    """Pinning the sub-resonance jets of a build reproduces it bitwise.
+
+    On the plan the build was solved and jet-checked on, the solve alone
+    decides, its per-degree gates included: maps equal to the build's pass
+    the jet check the build passed, and maps that differ fail the verdict
+    anyway.  A result without a plan (see `to_float`) is rebuilt in full,
+    its jet check included."""
+    lift = pinned_lift(nf.sub_res_jets())
+    if nf.plan is None:
+        again = nf.rebuild(lift)
+        return again.h_taylor == nf.h_taylor and again.p_normal == nf.p_normal
+    h, p, _ = _solve(nf.plan, lift)
+    return tuple(h) == nf.h_taylor and p == [g.poly for g in nf.p_normal]
 
 
 def check_flag_preservation(p: PolyMap, spec) -> bool:

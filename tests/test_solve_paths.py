@@ -2,7 +2,8 @@
 transitions of the verify stage, against frozen copies of the paths they
 replaced (`tests/oracles.py`), plus the degree-N relations the verify
 stage now checks: a probe off at degree N fails them in both modes, and
-the seeded instances pass them.
+the seeded instances pass them, also when the resonance check reads the
+transitions off the uniqueness witness.
 
 - I - M (`_i_minus_m`) equals the conjugation-based assembly exactly in
   rational mode and bit for bit, in row order, in binary64.
@@ -31,7 +32,12 @@ from nsnf.normal_form import build_taylor, resonance_reduce, seeded_lift
 from nsnf.polymap import FLOAT, RATIONAL, PolyMap, compose, is_in_class
 from nsnf.rand_instances import random_instance
 from nsnf.spectrum import SUB_RESONANCE, degree_bound
-from nsnf.verify import check_centralizer, check_uniqueness, check_uniqueness_resonance
+from nsnf.verify import (
+    check_centralizer,
+    check_uniqueness,
+    check_uniqueness_resonance,
+    pinned_rebuild_matches,
+)
 
 from fixtures import SPEC21, worked_extension
 from oracles import (
@@ -196,6 +202,23 @@ def test_a_term_off_at_degree_n_fails_every_relation(mode):
         cz = check_centralizer(changed, power_extension(ext, 2), n, alpha)
         assert not cz.ok and cz.stage == "degree", name
         assert "H_g(x) o G_x - Q_x o H_x" in cz.detail
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_the_probe_fails_the_resonance_check_on_the_uniqueness_witness(mode):
+    for name, ext, spec, n, alpha in _probe_cases():
+        ext = ext.to_float() if mode == FLOAT else ext
+        nf = build_taylor(ext, spec, n, alpha)
+        red = resonance_reduce(nf)
+        changed = _off_at_n(nf)
+        uniq = check_uniqueness(nf, changed)
+        one = check_uniqueness_resonance(nf, red, changed, red, uniq)
+        alone = check_uniqueness_resonance(nf, red, changed, red)
+        assert not one.ok and one.stage == "degree", name
+        assert one.maps == alone.maps and one.off_class == alone.off_class, name
+        assert (one.ok, one.stage, one.detail) == (alone.ok, alone.stage, alone.detail), name
+        # the probe sits above d, so the pinned solve on the plan misses it
+        assert not pinned_rebuild_matches(changed), name
 
 
 @pytest.mark.parametrize("seed", range(60))
