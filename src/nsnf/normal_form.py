@@ -33,6 +33,7 @@ from .polymap import (
     identity_map,
     left_linear,
     make_group_element,
+    monomial_basis,
     project,
     zero_map,
 )
@@ -55,6 +56,7 @@ class BuildError(RuntimeError):
 
 
 _NON_SUB = frozenset({TypeClass.NON_SUB})
+_STRICT = frozenset({TypeClass.STRICT_SUB})
 # Classes the backward operator on the strict subspace must not reach.
 _LEAVES_STRICT = frozenset({TypeClass.RESONANCE, TypeClass.NON_SUB})
 
@@ -155,13 +157,27 @@ class _SolveSpan:
     A conjugation R -> pre . R o post must keep a map of the span inside
     it: image terms outside `keys` whose class lies in `guard` must vanish
     (by the mode's test, relative to the size of the image).
+
+    `blocks` partitions the positions into the blocks that the cycle
+    solves eliminate one at a time: the positions of each label in
+    `labels` (one label per key), in order of first appearance, or one
+    block of every position when no labels are given.  Each block must be
+    invariant under the conjugations, as a homogeneous type (target block,
+    block degrees) is when the linear parts are block-diagonal.
     """
 
-    __slots__ = ("keys", "index", "degree", "spec", "guard")
+    __slots__ = ("keys", "index", "degree", "spec", "guard", "blocks")
 
-    def __init__(self, keys, degree, spec, guard):
+    def __init__(self, keys, degree, spec, guard, labels=None):
         self.keys, self.index = keys, {k: i for i, k in enumerate(keys)}
         self.degree, self.spec, self.guard = degree, spec, guard
+        if labels is None:
+            self.blocks = [range(len(keys))]
+        else:
+            blocks: dict = {}
+            for i, label in enumerate(labels):
+                blocks.setdefault(label, []).append(i)
+            self.blocks = list(blocks.values())
 
     def image(self, key, columns, powers: Powers) -> list:
         """(position, coefficient) pairs of pre . R o post on the span for
@@ -221,16 +237,24 @@ def _cycle_maps(base: FiniteBase, pairs, pull: bool):
     return out
 
 
-def _i_minus_m(span: _SolveSpan, pre, powers: Powers) -> list[dict]:
-    """Rows {column: entry} of I - M on the span, for M the conjugation
-    R -> pre . R o post by a return pair, assembled from the image of each
-    key."""
+def _i_minus_m(span: _SolveSpan, pre, powers: Powers, block=None) -> list[dict]:
+    """Rows {column: entry} of I - M on one block of the span's positions
+    (the whole span unless given), numbered within the block, for M the
+    conjugation R -> pre . R o post by a return pair, assembled from the
+    image of each of the block's keys.  An image entry on a key outside
+    the block raises BuildError: a partition that separated two keys the
+    operator couples would otherwise drop the coupling."""
     one, zero = powers.inner.mode.one, powers.inner.mode.zero
+    block = range(len(span.keys)) if block is None else block
+    local = {i: row for row, i in enumerate(block)}
     columns = _columns(pre)
-    rows = [{i: one} for i in range(len(span.keys))]
-    for col, key in enumerate(span.keys):
-        for i, w in span.image(key, columns, powers):
-            rows[i][col] = (one if i == col else zero) - w
+    rows = [{row: one} for row in range(len(block))]
+    for col, i in enumerate(block):
+        for pos, w in span.image(span.keys[i], columns, powers):
+            row = local.get(pos)
+            if row is None:
+                raise BuildError(f"conjugation left its type block at degree {span.degree}")
+            rows[row][col] = (one if row == col else zero) - w
     return [{k: w for k, w in row.items() if w} for row in rows]
 
 
@@ -241,20 +265,48 @@ class _CycleSystem:
     pair (pre matrix, power table of post).
 
     Once around, h_0 = M h_0 + c, with M the conjugation by the return
-    pair.  The elimination of I - M does not depend on the b_j, so it is
-    set up once; each solve accumulates c in Horner form, solves for h_0
-    and steps around the cycle.
+    pair.  M maps each block of the span into itself, so I - M is the
+    direct sum of its blocks' rows.  Each solve accumulates c in Horner
+    form, solves for h_0 on the blocks where c has a nonzero entry, and
+    steps around the cycle.  A block's elimination does not depend on the
+    b_j: it is set up the first time a solve reaches the block and kept.
+    On a block that c does not reach, h_0 is zero, the exact solution
+    when that block's I - M is invertible, as the contraction certificate
+    of a validated plan makes it; a plan without one sets every block up
+    at once (`set_up`).  Pivots never cross blocks, so the eliminations
+    make the operations of one whole-span elimination in the same order.
     """
 
-    __slots__ = ("steps", "span", "pull", "order", "system")
+    __slots__ = ("steps", "ret", "span", "pull", "cycle", "order", "eliminations")
 
-    def __init__(self, steps, ret, span: _SolveSpan, pull: bool):
-        self.steps, self.span, self.pull = steps, span, pull
+    def __init__(self, steps, ret, span: _SolveSpan, pull: bool, cycle=None):
+        self.steps, self.ret, self.span, self.pull, self.cycle = steps, ret, span, pull, cycle
         q = len(steps)
         # pull: M = A_0 (A_1 (... A_{q-1})), c = b_0 + A_0 (b_1 + ... A_{q-2} b_{q-1});
         # push: M = A_{q-1} (... (A_1 A_0)), c = b_{q-1} + A_{q-1} (... + A_1 b_0)
         self.order = list(range(q - 1, -1, -1)) if pull else list(range(q))
-        self.system = linsolve.Elimination.of_rows(_i_minus_m(span, *ret), ret[1].inner.mode)
+        self.eliminations = [None] * len(span.blocks)
+
+    def elimination(self, b) -> linsolve.Elimination:
+        """The elimination of block b's rows of I - M, set up on first use."""
+        elim = self.eliminations[b]
+        if elim is None:
+            pre, powers = self.ret
+            rows = _i_minus_m(self.span, pre, powers, self.span.blocks[b])
+            try:
+                elim = linsolve.Elimination.of_rows(rows, powers.inner.mode)
+            except linsolve.SingularMatrix as err:
+                what = "cycle solve" if self.pull else "reduction solve"
+                raise BuildError(
+                    f"singular {what} at degree {self.span.degree}, cycle {self.cycle}"
+                ) from err
+            self.eliminations[b] = elim
+        return elim
+
+    def set_up(self):
+        """Set up every block's elimination now."""
+        for b in range(len(self.eliminations)):
+            self.elimination(b)
 
     def _step(self, j, vec, rhs):
         """b_j plus A_j applied to vec: the images of vec's nonzero entries."""
@@ -273,8 +325,14 @@ class _CycleSystem:
         c = rhs[self.order[0]]
         for j in self.order[1:]:
             c = self._step(j, c, rhs)
+        h0 = [self.ret[1].inner.mode.zero] * len(c)
+        for b, block in enumerate(self.span.blocks):
+            part = [c[i] for i in block]
+            if any(part):
+                for i, v in zip(block, self.elimination(b).solve(part)):
+                    h0[i] = v
         out = [None] * q
-        out[0] = self.system.solve(c)
+        out[0] = h0
         # pull: h_j from h_{j+1}, j = q-1, ..., 1; push: h_{j+1} from h_j, j = 0, ..., q-2
         for j in self.order[:-1]:
             src, dst = ((j + 1) % q, j) if self.pull else (j, j + 1)
@@ -283,14 +341,19 @@ class _CycleSystem:
 
 
 def _cycle_systems(cycles, span: _SolveSpan, pull: bool):
-    """(cycle, system) for every (cycle, steps, return pair) of `cycles`."""
-    systems = []
-    for cycle, steps, ret in cycles:
-        try:
-            systems.append((cycle, _CycleSystem(steps, ret, span, pull)))
-        except linsolve.SingularMatrix as err:
-            what = "cycle solve" if pull else "reduction solve"
-            raise BuildError(f"singular {what} at degree {span.degree}, cycle {cycle}") from err
+    """(cycle, system) for every (cycle, steps, return pair) of `cycles`;
+    no block is set up yet."""
+    return [(cycle, _CycleSystem(steps, ret, span, pull, cycle)) for cycle, steps, ret in cycles]
+
+
+def _plan_systems(cycles, span: _SolveSpan, pull: bool, certified: bool):
+    """The cycle systems of a plan: blocks set up on first use under a
+    contraction certificate, every block now without one, so that such a
+    plan refuses a singular system when it is made."""
+    systems = _cycle_systems(cycles, span, pull)
+    if not certified:
+        for _, system in systems:
+            system.set_up()
     return systems
 
 
@@ -439,10 +502,22 @@ def _all_block_diagonal(mats, dims: GradedDims) -> bool:
     return not any(entry for m in mats for _, _, entry in dims.off_block(m))
 
 
-def _certified_exponent(spec, dims, keys, direction) -> Fraction | None:
-    labels = {(dims.block_of[c], dims.block_degrees(exps)) for c, exps in keys}
+def _typed_basis(spec, dims: GradedDims, degree, classes):
+    """(keys, labels): the degree-n basis monomials (coordinate, exponents)
+    whose type lies in `classes`, in `class_basis` order, and the label
+    (target block, block degrees) of each; every key is classified once."""
+    keys, labels = [], []
+    for c, exps in monomial_basis(dims, degree):
+        label = (dims.block_of[c], dims.block_degrees(exps))
+        if spec.type_class(*label) in classes:
+            keys.append((c, exps))
+            labels.append(label)
+    return keys, labels
+
+
+def _certified_exponent(spec, labels, direction) -> Fraction | None:
     return max(
-        (phi_contraction_bound(spec, HomogeneousType(*label), direction) for label in labels),
+        (phi_contraction_bound(spec, HomogeneousType(*label), direction) for label in set(labels)),
         default=None,
     )
 
@@ -462,12 +537,16 @@ class TaylorPlan:
     mats: list
     invs: list
     lin_polys: list[PolyMap]
+    inv_polys: list[PolyMap]
     # per base point: the fiber's power table and its linear part's, at cap N
     fiber_powers: list[Powers]
     lin_powers: list[Powers]
     certified_exponents: dict[int, Fraction]
     # degree -> (solve span, [(cycle, _CycleSystem)])
     systems: dict[int, tuple]
+    # the reduction plan of the fibers' linear parts, which are the linear
+    # parts of P under every lift; made by the first `resonance_reduce`
+    reduction: "ReductionPlan | None" = None
 
 
 def plan_taylor(
@@ -478,7 +557,9 @@ def plan_taylor(
 
     Refuses to run when validation fails, unless `force` is set.  Each
     degree's solve keys are its whole non-sub-resonance basis, so no image
-    term leaves the solve subspace.
+    term leaves the solve subspace.  A validated plan sets each cycle
+    system's blocks up when a solve first reaches them; a forced plan
+    whose validation failed sets them all up here.
     """
     alpha = Fraction(alpha)
     validation = validate_extension(ext, spec, n_taylor, alpha)
@@ -490,7 +571,7 @@ def plan_taylor(
         raise BuildRefused(f"Taylor degree {n_taylor} is below the degree bound {d}")
 
     dims, base, p = ext.dims, ext.base, ext.base.p
-    mats, invs, lin_polys, _ = _linear_data(ext.fibers, "fiber linear part")
+    mats, invs, lin_polys, inv_polys = _linear_data(ext.fibers, "fiber linear part")
     diagonal = _all_block_diagonal(mats, dims)
 
     # A linear map's images are homogeneous, so one table per point at cap
@@ -501,8 +582,8 @@ def plan_taylor(
     certified_exponents: dict[int, Fraction] = {}
     systems: dict[int, tuple] = {}
     for degree in range(2, n_taylor + 1):
-        keys = class_basis(spec, dims, degree, {TypeClass.NON_SUB})
-        cert = _certified_exponent(spec, dims, keys, "forward")
+        keys, labels = _typed_basis(spec, dims, degree, _NON_SUB)
+        cert = _certified_exponent(spec, labels, "forward")
         if cert is not None:
             certified_exponents[degree] = cert
             if validation.passed and not cert < 0:
@@ -510,14 +591,15 @@ def plan_taylor(
                     f"certified exponent {cert} at degree {degree} is not negative"
                 )
         if diagonal:
-            # With block-diagonal linear parts the operator maps each
-            # (target block, block degrees) type into itself.  Keys sorted
-            # stably by type make I - M block-diagonal, so the elimination
-            # never pivots or updates across types, and they fix the order
-            # of the solutions and so of the terms of every solved map.
-            keys.sort(key=lambda k: (dims.block_of[k[0]], dims.block_degrees(k[1])))
-        span = _SolveSpan(keys, degree, spec, _NON_SUB)
-        systems[degree] = (span, _cycle_systems(cycles, span, True))
+            # With block-diagonal linear parts the operator maps each type
+            # into itself, so each type is a block of the cycle systems.
+            # Keys sorted stably by type make the blocks contiguous, and
+            # they fix the order of the solutions and so of the terms of
+            # every solved map.
+            order = sorted(range(len(keys)), key=labels.__getitem__)
+            keys, labels = [keys[i] for i in order], [labels[i] for i in order]
+        span = _SolveSpan(keys, degree, spec, _NON_SUB, labels if diagonal else None)
+        systems[degree] = (span, _plan_systems(cycles, span, True, validation.passed))
 
     return TaylorPlan(
         ext=ext,
@@ -528,6 +610,7 @@ def plan_taylor(
         mats=mats,
         invs=invs,
         lin_polys=lin_polys,
+        inv_polys=inv_polys,
         # one power table per fiber serves every degree's H o F and the
         # final check of every solve on this plan
         fiber_powers=[Powers(ext.fiber(x), n_taylor) for x in range(p)],
@@ -670,11 +753,97 @@ def _block_diag_part(matrix, dims: GradedDims):
     return out
 
 
+@dataclass
+class ReductionPlan:
+    """The part of `reduce_family` that does not depend on the lift: it
+    reads only the linear parts A_x of P.  Every family with these linear
+    parts over this base and spectrum is reduced on it."""
+
+    d_mats: list
+    # per base point: the power tables of A_x, A_x^{-1} and the degree-1
+    # change of coordinates G1_x and its inverse, at cap d
+    a_powers: list[Powers]
+    a_inv_powers: list[Powers]
+    g1_powers: list[Powers]
+    g1_inv_powers: list[Powers]
+    # the degree-1 strip of the strict flag-triangular part, per point
+    h1: list[PolyMap]
+    certified_exponents: dict[int, Fraction]
+    # degree -> (solve span, [(cycle, _CycleSystem)]) on the strict basis,
+    # for the degrees that have one
+    systems: dict[int, tuple]
+
+
+def plan_reduction(base: FiniteBase, spec: SpectrumSpec, linear, certified: bool = False):
+    """Set up the lift-independent part of the resonance reduction of a
+    family whose linear data (matrices, inverses, and both as linear maps,
+    as `_linear_data` returns them) is `linear`.
+
+    With block-diagonal linear parts the backward operator maps each type
+    into itself, so each degree's strict keys, kept in `class_basis`
+    order, are split into one block per type.  `certified` says that the
+    linear parts are those of a validated Taylor plan, whose backward
+    exponents make every block's I - M invertible: blocks are then set up
+    when a solve first reaches them, and otherwise all here.
+    """
+    mats, _, polys, inv_polys = linear
+    dims, mode = polys[0].source, polys[0].mode
+    d = degree_bound(spec)
+    diagonal = _all_block_diagonal(mats, dims)
+    d_mats = [_block_diag_part(m, dims) for m in mats]
+    # One power table per fixed inner map, read at every degree and by the
+    # backward conjugation steps; the images of linear maps are
+    # homogeneous, so cap d keeps all of them.
+    a_powers = [Powers(a, d) for a in polys]
+    a_inv_powers = [Powers(a_inv, d) for a_inv in inv_polys]
+    # the push step at x: R -> D_x . R o A_x^{-1}
+    cycles = _cycle_maps(base, list(zip(d_mats, a_inv_powers)), False)
+    certified_exponents: dict[int, Fraction] = {}
+    systems: dict[int, tuple] = {}
+
+    def strict_span(degree):
+        keys, labels = _typed_basis(spec, dims, degree, _STRICT)
+        if keys:
+            certified_exponents[degree] = _certified_exponent(spec, labels, "backward")
+            span = _SolveSpan(keys, degree, spec, _LEAVES_STRICT, labels if diagonal else None)
+            systems[degree] = (span, _plan_systems(cycles, span, False, certified))
+
+    # Degree 1: strip the strict flag-triangular part of the linear term.
+    h1 = [zero_map(dims, dims, 1, mode) for _ in range(base.p)]
+    if not diagonal:
+        strict_span(1)
+    if 1 in systems:
+        rhs = []
+        for x in range(base.p):
+            u = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(mats[x], d_mats[x])]
+            u_poly = from_linear(u, dims, dims, 1, mode)
+            rhs.append(compose_part(u_poly.scale(-1), a_inv_powers[x], 1))
+        h1 = _solve_on(*systems[1], rhs)
+
+    g1_polys = [identity_map(dims, d, mode).add(h1[x]).jet(1) for x in range(base.p)]
+    *_, g1_inv_polys = _linear_data(g1_polys, "degree-1 change of coordinates")
+    for degree in range(2, d + 1):
+        strict_span(degree)
+
+    return ReductionPlan(
+        d_mats=d_mats,
+        a_powers=a_powers,
+        a_inv_powers=a_inv_powers,
+        g1_powers=[Powers(g1, d) for g1 in g1_polys],
+        g1_inv_powers=[Powers(g1_inv, d) for g1_inv in g1_inv_polys],
+        h1=h1,
+        certified_exponents=certified_exponents,
+        systems=systems,
+    )
+
+
 def reduce_family(
     base: FiniteBase,
     spec: SpectrumSpec,
     p_elems: Sequence[GroupElement],
     lift: LiftStrategy | None = None,
+    *,
+    plan: ReductionPlan | None = None,
 ) -> ResonanceResult:
     """Conjugate a sub-resonance family to pure resonance form.
 
@@ -683,61 +852,31 @@ def reduce_family(
     The resonance component of each degree >= 2 term of H' is the free
     lift; the linear term of H' is normalized to identity plus a strict
     part.
+
+    The reduction is `plan_reduction` then a solve under the lift.  A
+    given plan must be that of the family's linear parts (see
+    `resonance_reduce`); without one the family is planned afresh, every
+    block set up.
     """
     lift = lift or complement_lift()
     if len(p_elems) != base.p:
         raise ValueError("one group element per base point required")
+    if plan is None:
+        linear = _linear_data([g.poly for g in p_elems], "normal form linear part")
+        plan = plan_reduction(base, spec, linear)
     dims = p_elems[0].dims
     mode = p_elems[0].poly.mode
     d = degree_bound(spec)
     res_only = frozenset({TypeClass.RESONANCE})
-
-    a_mats, _, a_polys, a_inv_polys = _linear_data(
-        [g.poly for g in p_elems], "normal form linear part"
-    )
-    d_mats = [_block_diag_part(m, dims) for m in a_mats]
-    # One power table per fixed inner map, read at every degree and by the
-    # backward conjugation steps.  P's serves the final check at d*d too; the
-    # images of linear maps are homogeneous, so cap d keeps all of them.
+    d_mats, a_powers = plan.d_mats, plan.a_powers
+    # P's table serves every degree's defect and the final check at d*d.
     p_powers = [Powers(g.poly, d * d) for g in p_elems]
-    a_powers = [Powers(a, d) for a in a_polys]
-    a_inv_powers = [Powers(a_inv, d) for a_inv in a_inv_polys]
-
     sections = _lift_table(lift, spec, dims, mode, base.p, d, res_only)
-    certified_exponents: dict[int, Fraction] = {}
 
-    # the push step at x: R -> D_x . R o A_x^{-1}
-    cycles = _cycle_maps(base, list(zip(d_mats, a_inv_powers)), False)
-
-    def backward_solve(keys, degree, rhs):
-        span = _SolveSpan(keys, degree, spec, _LEAVES_STRICT)
-        return _solve_on(span, _cycle_systems(cycles, span, False), rhs)
-
-    # Degree 1: strip the strict flag-triangular part of the linear term.
-    ss1 = class_basis(spec, dims, 1, {TypeClass.STRICT_SUB})
-    h1 = [zero_map(dims, dims, 1, mode) for _ in range(base.p)]
-    if ss1 and not _all_block_diagonal(a_mats, dims):
-        certified_exponents[1] = _certified_exponent(spec, dims, ss1, "backward")
-        rhs = []
-        for x in range(base.p):
-            u = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(a_mats[x], d_mats[x])]
-            u_poly = from_linear(u, dims, dims, 1, mode)
-            rhs.append(compose_part(u_poly.scale(-1), a_inv_powers[x], 1))
-        h1 = backward_solve(ss1, 1, rhs)
-
-    h_prime = [identity_map(dims, d, mode).add(h1[x]) for x in range(base.p)]
+    h_prime = [identity_map(dims, d, mode).add(plan.h1[x]) for x in range(base.p)]
     p_res = [from_linear(d_mats[x], dims, dims, 1, mode).jet(1) for x in range(base.p)]
-    g1_polys = [h_prime[x].jet(1) for x in range(base.p)]
-    *_, g1_inv_polys = _linear_data(g1_polys, "degree-1 change of coordinates")
-    g1_powers = [Powers(g1, d) for g1 in g1_polys]
-    g1_inv_powers = [Powers(g1_inv, d) for g1_inv in g1_inv_polys]
 
     for degree in range(2, d + 1):
-        ss = class_basis(spec, dims, degree, {TypeClass.STRICT_SUB})
-        cert = _certified_exponent(spec, dims, ss, "backward")
-        if cert is not None:
-            certified_exponents[degree] = cert
-
         k_parts = _defects(h_prime, p_powers, p_res, base, degree)
         for k in k_parts:
             if not project(k, spec, _NON_SUB).vanishes(scale=k):
@@ -746,7 +885,7 @@ def reduce_family(
         deltas = [sections.get((x, degree), zero) for x in range(base.p)]
 
         h_n = [zero] * base.p
-        if ss:
+        if degree in plan.systems:
             rhs = []
             for x in range(base.p):
                 # Known inhomogeneity: strict part of the defect plus the
@@ -757,16 +896,16 @@ def reduce_family(
                     k_parts[x], a_powers[x], deltas[base.image(x)], d_mats[x], deltas[x], degree
                 )
                 rho = project(w_known, spec, res_only)
-                correction = compose_part(rho, g1_powers[x], degree).sub(rho)
-                c_poly = correction.sub(project(w_known, spec, {TypeClass.STRICT_SUB}))
-                rhs.append(compose_part(c_poly, a_inv_powers[x], degree))
-            h_n = backward_solve(ss, degree, rhs)
+                correction = compose_part(rho, plan.g1_powers[x], degree).sub(rho)
+                c_poly = correction.sub(project(w_known, spec, _STRICT))
+                rhs.append(compose_part(c_poly, plan.a_inv_powers[x], degree))
+            h_n = _solve_on(*plan.systems[degree], rhs)
 
         h_new = [deltas[x].add(h_n[x]) for x in range(base.p)]
         for x in range(base.p):
             h_prime[x] = h_prime[x].add(h_new[x])
             v = _residue(k_parts[x], a_powers[x], h_new[base.image(x)], d_mats[x], h_new[x], degree)
-            p_n = compose_part(v, g1_inv_powers[x], degree)
+            p_n = compose_part(v, plan.g1_inv_powers[x], degree)
             off = project(p_n, spec, {TypeClass.STRICT_SUB, TypeClass.NON_SUB})
             if not off.vanishes(scale=p_n):
                 raise BuildError(f"resonance form keeps a strict term at degree {degree}")
@@ -783,10 +922,22 @@ def reduce_family(
         lift_kind=lift.kind,
         lift_seed=lift.seed,
         lift_sections=sections,
-        certified_exponents=certified_exponents,
+        certified_exponents=dict(plan.certified_exponents),
     )
 
 
 def resonance_reduce(nf: NormalFormResult, lift: LiftStrategy | None = None) -> ResonanceResult:
-    return reduce_family(nf.ext.base, nf.spec, nf.p_normal, lift=lift)
-
+    """Reduce a build's normal form under a lift.  The reduction plan is
+    kept on the build's Taylor plan and shared by every build on it: P's
+    linear parts are the fibers' for every lift, so the plan's linear data
+    serve without another inversion.  A result without a plan, or whose P
+    has other linear parts, is reduced on a fresh plan."""
+    plan = nf.plan
+    if plan is None or [g.poly.linear_matrix() for g in nf.p_normal] != plan.mats:
+        return reduce_family(nf.ext.base, nf.spec, nf.p_normal, lift=lift)
+    if plan.reduction is None:
+        linear = (plan.mats, plan.invs, plan.lin_polys, plan.inv_polys)
+        plan.reduction = plan_reduction(
+            nf.ext.base, nf.spec, linear, certified=plan.validation.passed
+        )
+    return reduce_family(nf.ext.base, nf.spec, nf.p_normal, lift=lift, plan=plan.reduction)

@@ -188,7 +188,9 @@ def pinned_rebuild_matches(nf: NormalFormResult) -> bool:
     decides, its per-degree gates included: maps equal to the build's pass
     the jet check the build passed, and maps that differ fail the verdict
     anyway.  A result without a plan (see `to_float`) is rebuilt in full,
-    its jet check included."""
+    its jet check included.  A `to_float()` copy of a rational build fails
+    the verdict: it holds the rational maps rounded, which no binary64
+    solve produces, so no pinned lift reproduces it bit for bit."""
     lift = pinned_lift(nf.sub_res_jets())
     if nf.plan is None:
         again = nf.rebuild(lift)

@@ -157,7 +157,9 @@ def test_float_copy_gets_the_rebuilds_jet_check(monkeypatch):
     flt = nf.to_float()
     assert flt.plan is None
     calls = _counting_checks(monkeypatch)
-    pinned_rebuild_matches(flt)
+    # the copy holds rounded rational maps, which no binary64 solve
+    # produces, so pinning its jets cannot reproduce it bit for bit
+    assert not pinned_rebuild_matches(flt)
     assert calls == ["jet conjugacy"]
     # a binary64 build without its plan is planned afresh and reproduced
     native = build_taylor(flt.ext, SPEC21, 3, 0, lift=seeded_lift(4))
