@@ -179,34 +179,36 @@ class _SolveSpan:
                 blocks.setdefault(label, []).append(i)
             self.blocks = list(blocks.values())
 
-    def image(self, key, columns, powers: Powers) -> list:
-        """(position, coefficient) pairs of pre . R o post on the span for
-        the monomial R = `key` (coordinate c, exponents beta): pre's column
-        c times the degree-n part of post's image of t^beta, one product
-        per entry.  `columns` holds the nonzero (row, entry) pairs of each
-        column of the matrix pre, and `powers` is the power table of the
-        linear map post.  The leak guard reads this column's image alone."""
-        index, out, outside = self.index, [], []
-        column = columns[key[0]]
-        for e, v in powers.part(key[1], self.degree):
-            for r, m in column:
-                w = m * v
-                if w:
-                    pos = index.get((r, e))
-                    if pos is None:
-                        outside.append((r, e, w))
-                    else:
-                        out.append((pos, w))
-        if outside:
-            dims, mode, type_class = powers.inner.source, powers.inner.mode, self.spec.type_class
+    def leak_guard(self, post: PolyMap):
+        """guard(outside, size) for the images of a conjugation by post
+        (`Sum.add_images`): the image terms outside the span whose class
+        lies in `guard` must vanish relative to the size of their image,
+        or BuildError is raised.  Each key's image is guarded alone."""
+        dims, mode = post.source, post.mode
+
+        def guard(outside, size):
+            type_class = self.spec.type_class
             leaked = [
                 w for r, e, w in outside
                 if type_class(dims.block_of[r], dims.block_degrees(e)) in self.guard
             ]
-            size = max(abs(w) for *_, w in out + outside)
             if leaked and not mode.vanishes(leaked, size):
                 raise BuildError("conjugation left its solve subspace")
-        return out
+
+        return guard
+
+    def image(self, key, columns, powers: Powers) -> list:
+        """(position, coefficient) pairs of pre . R o post on the span for
+        the monomial R = `key` (coordinate c, exponents beta): pre's column
+        c times the degree-n part of post's image of t^beta, one product
+        per entry (`Sum.add_images`).  `columns` holds the nonzero (row,
+        entry) pairs of each column of the matrix pre (`_columns`), and
+        `powers` is the power table of the linear map post."""
+        mode = powers.inner.mode
+        total = Sum(mode)
+        guard = self.leak_guard(powers.inner)
+        total.add_images(((key, mode.one),), columns, powers, self.degree, self.index, guard)
+        return total.entries()
 
 
 def _columns(matrix) -> list:
@@ -241,20 +243,25 @@ def _i_minus_m(span: _SolveSpan, pre, powers: Powers, block=None) -> list[dict]:
     """Rows {column: entry} of I - M on one block of the span's positions
     (the whole span unless given), numbered within the block, for M the
     conjugation R -> pre . R o post by a return pair, assembled from the
-    image of each of the block's keys.  An image entry on a key outside
-    the block raises BuildError: a partition that separated two keys the
-    operator couples would otherwise drop the coupling."""
-    one, zero = powers.inner.mode.one, powers.inner.mode.zero
+    image of each of the block's keys, one sum per column.  An image
+    entry on a key outside the block raises BuildError: a partition that
+    separated two keys the operator couples would otherwise drop the
+    coupling."""
+    mode = powers.inner.mode
+    one = mode.one
     block = range(len(span.keys)) if block is None else block
     local = {i: row for row, i in enumerate(block)}
-    columns = _columns(pre)
     rows = [{row: one} for row in range(len(block))]
-    for col, i in enumerate(block):
-        for pos, w in span.image(span.keys[i], columns, powers):
+    columns = Sum(mode).unit_columns(
+        [(span.keys[i], -one) for i in block], _columns(pre), powers,
+        span.degree, span.index, span.leak_guard(powers.inner),
+    )
+    for col, entries in enumerate(columns):
+        for pos, w in entries:
             row = local.get(pos)
             if row is None:
                 raise BuildError(f"conjugation left its type block at degree {span.degree}")
-            rows[row][col] = (one if row == col else zero) - w
+            rows[row][col] = w
     return [{k: w for k, w in row.items() if w} for row in rows]
 
 
@@ -275,6 +282,14 @@ class _CycleSystem:
     of a validated plan makes it; a plan without one sets every block up
     at once (`set_up`).  Pivots never cross blocks, so the eliminations
     make the operations of one whole-span elimination in the same order.
+    Once every block is set up, the return pair keeps a fresh power table
+    of its map, so the memoized images of a cycle's return map are freed
+    when all of its systems have been set up.
+
+    Each step sums the images of the vector's nonzero entries onto b_j in
+    one position-keyed `Sum`, and I - M is assembled one such sum per
+    column: in rational mode both run on integer pairs and build one
+    Fraction per entry that terms reached.
     """
 
     __slots__ = ("steps", "ret", "span", "pull", "cycle", "order", "eliminations")
@@ -301,6 +316,11 @@ class _CycleSystem:
                     f"singular {what} at degree {self.span.degree}, cycle {self.cycle}"
                 ) from err
             self.eliminations[b] = elim
+            if len(self.steps) > 1 and all(e is not None for e in self.eliminations):
+                # Every block is set up, so no solve reads the return map's
+                # images again: a fresh table lets the memoized one go.
+                pre, powers = self.ret
+                self.ret = (pre, Powers(powers.inner, powers.cap))
         return elim
 
     def set_up(self):
@@ -309,15 +329,16 @@ class _CycleSystem:
             self.elimination(b)
 
     def _step(self, j, vec, rhs):
-        """b_j plus A_j applied to vec: the images of vec's nonzero entries."""
+        """b_j plus A_j applied to vec: the images of vec's nonzero entries,
+        summed onto b_j by position."""
         pre, powers = self.steps[j]
-        columns, image = _columns(pre), self.span.image
-        out = list(rhs[j])
-        for key, v in zip(self.span.keys, vec):
-            if v:
-                for i, w in image(key, columns, powers):
-                    out[i] = out[i] + v * w
-        return out
+        span = self.span
+        total = Sum(powers.inner.mode)
+        total.add_entries(enumerate(rhs[j]))
+        items = [(key, v) for key, v in zip(span.keys, vec) if v]
+        guard = span.leak_guard(powers.inner)
+        total.add_images(items, _columns(pre), powers, span.degree, span.index, guard)
+        return total.vector(len(rhs[j]))
 
     def solve(self, rhs):
         """Per-point solutions h_0, ..., h_{q-1} for the inhomogeneities b_j."""
@@ -325,7 +346,7 @@ class _CycleSystem:
         c = rhs[self.order[0]]
         for j in self.order[1:]:
             c = self._step(j, c, rhs)
-        h0 = [self.ret[1].inner.mode.zero] * len(c)
+        h0 = [self.steps[0][1].inner.mode.zero] * len(c)
         for b, block in enumerate(self.span.blocks):
             part = [c[i] for i in block]
             if any(part):

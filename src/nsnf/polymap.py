@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
+from math import gcd
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -429,15 +430,54 @@ def _poly_mul(p: dict, q: dict, cap: int) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
+def _pair_mul(p: list, q: list, cap: int) -> list:
+    """`_poly_mul` for lists of (exponents, numerator, denominator) terms,
+    each coefficient in lowest terms with a positive denominator: the same
+    pairs of terms in the same order and the same term order, each product
+    added with no gcd, and each nonzero entry of the result reduced once."""
+    out: dict = {}
+    get = out.get
+    fitting: dict[int, list] = {}
+    q_items = [(e, sum(e), c, d) for e, c, d in q]
+    for e1, a, b in p:
+        budget = cap - sum(e1)
+        q_fit = fitting.get(budget)
+        if q_fit is None:
+            q_fit = fitting[budget] = [(e, c, d) for e, deg, c, d in q_items if deg <= budget]
+        for e2, c, d in q_fit:
+            e = tuple(map(add, e1, e2))
+            num, den = a * c, b * d
+            got = get(e)
+            if got is None:
+                out[e] = (num, den)
+            else:
+                n0, d0 = got
+                out[e] = (n0 + num, den) if d0 == den else (n0 * den + num * d0, d0 * den)
+    terms = []
+    for e, (num, den) in out.items():
+        if num:
+            g = gcd(num, den)
+            terms.append((e, num, den) if g == 1 else (e, num // g, den // g))
+    return terms
+
+
 class Powers:
     """Memoized images t^beta -> prod_j G_j^{beta_j} of the monomials under
     one inner map G, truncated at a cap: the one composition kernel.
 
-    Each image is one `_poly_mul` of memoized entries, associated as
+    Each image is one product of memoized entries, associated as
     (G_{j1}^{b1} G_{j2}^{b2}) G_{j3}^{b3} ... with G_j^b = G_j^{b-1} G_j, so
     float results do not depend on which images were built before.  An
     image's terms of degree at most n do not depend on the cap once the cap
     is at least n, so one table serves every degree up to its cap.
+
+    A binary64 table holds each image as an {exponents: float} dict,
+    multiplied by `_poly_mul`.  A rational table holds each image once, as
+    a list of (exponents, numerator, denominator) terms in lowest terms,
+    multiplied by `_pair_mul`: one gcd per term of an image, none per
+    product, and the degree parts share the image's terms.  The sum kernel
+    reads the integers (`_terms`); `part` gives Fractions, built when asked
+    and not kept.
     """
 
     def __init__(self, inner: PolyMap, cap: int) -> None:
@@ -445,15 +485,22 @@ class Powers:
             raise ValueError(f"degree cap must be >= 1, got {cap}")
         self.inner = inner
         self.cap = cap
-        self._components: list[dict] = [{} for _ in range(inner.target.total)]
-        for (coord, exps), value in inner.coeffs.items():
-            self._components[coord][exps] = value
-        self._images: dict[tuple[int, ...], dict] = {}
+        if inner.mode.exact:
+            self._mul = _pair_mul
+            self._components: list = [[] for _ in range(inner.target.total)]
+            for (coord, exps), value in inner.coeffs.items():
+                self._components[coord].append((exps, value.numerator, value.denominator))
+        else:
+            self._mul = _poly_mul
+            self._components = [{} for _ in range(inner.target.total)]
+            for (coord, exps), value in inner.coeffs.items():
+                self._components[coord][exps] = value
+        self._images: dict = {}
         self._parts: dict[tuple[tuple[int, ...], int | None], list] = {}
 
-    def image(self, exps: tuple[int, ...]) -> dict:
-        """{exponents: coefficient} of prod_j G_j^{exps_j}; for exps = e_j
-        it is G_j itself, terms above the cap included."""
+    def image(self, exps: tuple[int, ...]):
+        """The terms of prod_j G_j^{exps_j} in the table's form; for
+        exps = e_j it is G_j itself, terms above the cap included."""
         got = self._images.get(exps)
         if got is not None:
             return got
@@ -462,37 +509,58 @@ class Powers:
         rest = exps[:last] + (0,) * (len(exps) - last)
         if any(rest):
             power = (0,) * last + (e,) + (0,) * (len(exps) - last - 1)
-            got = _poly_mul(self.image(rest), self.image(power), self.cap)
+            got = self._mul(self.image(rest), self.image(power), self.cap)
         elif e == 1:
             got = self._components[last]
         else:
             lower = exps[:last] + (e - 1,) + exps[last + 1 :]
-            got = _poly_mul(self.image(lower), self._components[last], self.cap)
+            got = self._mul(self.image(lower), self._components[last], self.cap)
         self._images[exps] = got
+        return got
+
+    def _terms(self, exps: tuple[int, ...], n: int | None):
+        """The terms of the image of degree n, or of every degree up to the
+        cap when n is None, in the image's order: (exponents, coefficient)
+        in binary64, (exponents, numerator, denominator) in rational mode;
+        memoized.  A part that is the whole image, as every image of a
+        linear map is, is the image's own terms, not a second copy."""
+        key = (exps, n)
+        got = self._parts.get(key)
+        if got is None:
+            image = self.image(exps)
+            terms = image if self.inner.mode.exact else image.items()
+            if n is None:
+                cap = self.cap
+                got = [t for t in terms if sum(t[0]) <= cap]
+            else:
+                got = [t for t in terms if sum(t[0]) == n]
+            if len(got) == len(image):
+                got = terms
+            self._parts[key] = got
         return got
 
     def part(self, exps: tuple[int, ...], n: int | None) -> list:
         """(exponents, coefficient) terms of the image of degree n, or of
-        every degree up to the cap when n is None, in the image's order."""
-        key = (exps, n)
-        got = self._parts.get(key)
-        if got is None:
-            if n is None:
-                cap = self.cap
-                got = [(e, v) for e, v in self.image(exps).items() if sum(e) <= cap]
-            else:
-                got = [(e, v) for e, v in self.image(exps).items() if sum(e) == n]
-            self._parts[key] = got
-        return got
+        every degree up to the cap when n is None, in the image's order;
+        a list made for this call, exact coefficients as Fractions."""
+        terms = self._terms(exps, n)
+        if self.inner.mode.exact:
+            return [(e, Fraction(num, den)) for e, num, den in terms]
+        return list(terms)
 
     def compose(self, outer: PolyMap, n: int | None = None) -> PolyMap:
-        """outer(G(t)) truncated at the cap, or only its degree-n part."""
+        """outer(G(t)) truncated at the cap, or only its degree-n part.
+        Rational compositions are summed by the exact sum kernel."""
         inner = self.inner
         if outer.mode != inner.mode:
             raise ValueError("scalar modes differ in composition")
         if outer.source.dims != inner.target.dims:
             raise ValueError("composition shape mismatch")
         top = self.cap if n is None else n
+        if inner.mode.exact:
+            total = Sum(inner.mode)
+            total.add_composition(outer, self, 1, n)
+            return total.to_map(inner.source, outer.target, top)
         acc: dict = {}
         get, parts = acc.get, self._parts
         for (coord, exps), value in outer.coeffs.items():
@@ -500,7 +568,7 @@ class Powers:
             if sum(exps) > top:
                 continue
             terms = parts.get((exps, n))
-            for e_out, v in self.part(exps, n) if terms is None else terms:
+            for e_out, v in self._terms(exps, n) if terms is None else terms:
                 key = (coord, e_out)
                 w = get(key)
                 acc[key] = value * v if w is None else w + value * v
@@ -517,12 +585,20 @@ class Sum:
     `left_linear` and added as `PolyMap.add` adds them, zeros dropped after
     each term: the bits and key order of the chained maps.  `_ExactSum`
     keeps numerators and denominators apart, with no gcd while terms
-    arrive, and reduces each nonzero coefficient once in `to_map`, so a
-    zero sum builds no Fraction.  `add_*` returns the term as a map where
-    one is built (binary64), as the scale of a gate; None in rational mode.
+    arrive, reads the pairs of rational power tables as they are, and
+    reduces each nonzero coefficient once in `to_map`, so a zero sum
+    builds no Fraction.  `add_*` returns the term as a map where one is
+    built (binary64), as the scale of a gate; None in rational mode.
+
+    A sum can instead be keyed by the positions of a cycle solve's vector:
+    `add_entries` adds scalars at positions, `add_images` the images of
+    monomials under a conjugation, and `vector` or `entries` reads the
+    sum, one scalar per position that terms reached; `unit_columns` reads
+    columns of I + weight M one image at a time.
     """
 
     __slots__ = ("acc",)
+    _unit = 1.0  # one, as the accumulator holds it
 
     def __new__(cls, mode):
         self = object.__new__(_ExactSum if mode.exact else cls)
@@ -553,46 +629,162 @@ class Sum:
     def to_map(self, source: GradedDims, target: GradedDims, cap: int) -> PolyMap:
         return PolyMap._kept(source, target, cap, FLOAT, dict(self.acc))
 
+    # -- sums keyed by position ------------------------------------------
+
+    def add_entries(self, entries) -> None:
+        """Add (position, scalar) entries at positions that no term has
+        reached yet, each position once; a zero is kept as it is."""
+        self.acc.update(entries)
+
+    def add_images(self, items, columns, powers: "Powers", n: int, index, guard) -> None:
+        """For each (key, weight) of `items` in turn, add weight times the
+        image pre . R o G of the monomial R = key (coordinate c, exponents
+        beta), its degree-n part, at the positions `index` gives its terms
+        (row, exponents): pre's column c, whose nonzero (row, entry) pairs
+        are columns[c], times the degree-n part of G's image of t^beta, G
+        the inner map of `powers`.  Terms of an image at keys that `index`
+        lacks are not added; before the next key, guard(outside, size) is
+        called with them, as (row, exponents, coefficient), and with the
+        largest magnitude of that image (zero in exact modes, which do not
+        read it)."""
+        acc = self.acc
+        get, locate, parts = acc.get, index.get, powers._terms
+        for (c, exps), weight in items:
+            column, terms, outside = columns[c], parts(exps, n), []
+            for e, v in terms:
+                for r, m in column:
+                    w = m * v
+                    if w:
+                        pos = locate((r, e))
+                        if pos is None:
+                            outside.append((r, e, w))
+                        else:
+                            t = weight * w
+                            got = get(pos)
+                            acc[pos] = t if got is None else got + t
+            if outside:
+                guard(outside, max(abs(m * v) for _, v in terms for _, m in column))
+
+    def unit_columns(self, items, columns, powers: "Powers", n: int, index, guard) -> Iterator:
+        """Yield, for each (key, weight) of `items` in turn, the (position,
+        scalar) entries of u + weight * image, u the unit vector at the
+        key's own position and the image as `add_images` adds it (guard
+        included): a column of I + weight M for the conjugation M, the
+        unit's entry first, then the others in order of their first term.
+        Each column is summed afresh in this sum when it is asked for."""
+        for item in items:
+            self.acc = {index[item[0]]: self._unit}
+            self.add_images((item,), columns, powers, n, index, guard)
+            yield self.entries()
+
+    def vector(self, size: int) -> list:
+        """The scalars at positions 0 .. size-1, zero where nothing was added."""
+        get = self.acc.get
+        return [get(i, 0.0) for i in range(size)]
+
+    def entries(self) -> list:
+        """(position, scalar) for every position reached, in order of the
+        first term there."""
+        return list(self.acc.items())
+
 
 class _ExactSum(Sum):
     __slots__ = ()
-
-    def _add(self, key, num: int, den: int) -> None:
-        got = self.acc.get(key)
-        if got is None:
-            self.acc[key] = (num, den)
-            return
-        n0, d0 = got
-        if d0 == den:
-            self.acc[key] = (n0 + num, d0)
-        else:
-            self.acc[key] = (n0 * den + num * d0, d0 * den)
+    _unit = (1, 1)
 
     def add_map(self, pmap: PolyMap, sign: int = 1) -> None:
+        acc = self.acc
+        get = acc.get
         for key, v in pmap.coeffs.items():
-            self._add(key, sign * v.numerator, v.denominator)
+            num, den = sign * v.numerator, v.denominator
+            got = get(key)
+            if got is None:
+                acc[key] = (num, den)
+            else:
+                n0, d0 = got
+                acc[key] = (n0 + num, den) if d0 == den else (n0 * den + num * d0, d0 * den)
 
     def add_composition(self, outer: PolyMap, powers: "Powers", sign: int = 1, n=None) -> None:
         top = powers.cap if n is None else n
-        add = self._add
+        acc, parts = self.acc, powers._parts
+        get = acc.get
         for (coord, exps), value in outer.coeffs.items():
             if sum(exps) > top:
                 continue
             a, b = sign * value.numerator, value.denominator
-            for e_out, v in powers.part(exps, n):
-                add((coord, e_out), a * v.numerator, b * v.denominator)
+            terms = parts.get((exps, n))
+            for e_out, c, d in powers._terms(exps, n) if terms is None else terms:
+                key = (coord, e_out)
+                num, den = a * c, b * d
+                got = get(key)
+                if got is None:
+                    acc[key] = (num, den)
+                else:
+                    n0, d0 = got
+                    acc[key] = (n0 + num, den) if d0 == den else (n0 * den + num * d0, d0 * den)
 
     def add_left_linear(self, matrix, pmap: PolyMap, sign: int = 1) -> None:
-        add = self._add
-        columns = [[(r, m) for r, m in enumerate(col) if m] for col in zip(*matrix)]
+        acc = self.acc
+        get = acc.get
+        columns = [
+            [(r, m.numerator, m.denominator) for r, m in enumerate(col) if m]
+            for col in zip(*matrix)
+        ]
         for (coord, exps), value in pmap.coeffs.items():
             a, b = sign * value.numerator, value.denominator
-            for r, m in columns[coord]:
-                add((r, exps), a * m.numerator, b * m.denominator)
+            for r, c, d in columns[coord]:
+                key = (r, exps)
+                num, den = a * c, b * d
+                got = get(key)
+                if got is None:
+                    acc[key] = (num, den)
+                else:
+                    n0, d0 = got
+                    acc[key] = (n0 + num, den) if d0 == den else (n0 * den + num * d0, d0 * den)
 
     def to_map(self, source: GradedDims, target: GradedDims, cap: int) -> PolyMap:
         coeffs = {key: Fraction(num, den) for key, (num, den) in self.acc.items() if num}
         return PolyMap._kept(source, target, cap, RATIONAL, coeffs)
+
+    def add_entries(self, entries) -> None:
+        self.acc.update((pos, (v.numerator, v.denominator)) for pos, v in entries if v)
+
+    def add_images(self, items, columns, powers: "Powers", n: int, index, guard) -> None:
+        acc = self.acc
+        get, locate, parts = acc.get, index.get, powers._terms
+        pairs: dict = {}  # the columns read, as (row, entry, numerator, denominator)
+        for (c, exps), weight in items:
+            a, b = weight.numerator, weight.denominator
+            col = pairs.get(c)
+            if col is None:
+                col = pairs[c] = [(r, m, m.numerator, m.denominator) for r, m in columns[c]]
+            column = [(r, m, a * mn, b * md) for r, m, mn, md in col]
+            outside = []
+            for e, tn, td in parts(exps, n):
+                for r, m, mn, md in column:
+                    pos = locate((r, e))
+                    if pos is None:
+                        outside.append((r, e, m * Fraction(tn, td)))
+                        continue
+                    num, den = mn * tn, md * td
+                    got = get(pos)
+                    if got is None:
+                        acc[pos] = (num, den)
+                    else:
+                        n0, d0 = got
+                        acc[pos] = (n0 + num, den) if d0 == den else (n0 * den + num * d0, d0 * den)
+            if outside:
+                guard(outside, 0)
+
+    def vector(self, size: int) -> list:
+        zero, get, out = RATIONAL.zero, self.acc.get, []
+        for i in range(size):
+            num, den = get(i, (0, 1))
+            out.append(Fraction(num, den) if num else zero)
+        return out
+
+    def entries(self) -> list:
+        return [(pos, Fraction(num, den)) for pos, (num, den) in self.acc.items()]
 
 
 def compose(outer: PolyMap, inner: PolyMap, cap: int) -> PolyMap:
@@ -613,8 +805,13 @@ def compose_part(outer: PolyMap, powers: Powers, n: int) -> PolyMap:
 
 
 def left_linear(matrix, pmap: PolyMap, target: GradedDims | None = None) -> PolyMap:
-    """Compose a linear map (as a matrix) with a PolyMap on the left."""
+    """Compose a linear map (as a matrix) with a PolyMap on the left.
+    Rational products are summed by the exact sum kernel."""
     target = target or pmap.target
+    if pmap.mode.exact:
+        total = Sum(pmap.mode)
+        total.add_left_linear(matrix, pmap)
+        return total.to_map(pmap.source, target, pmap.cap)
     acc: dict = {}
     columns: dict = {}  # the nonzero (row, entry) pairs of each column read
     for (coord, exps), value in pmap.coeffs.items():

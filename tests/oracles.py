@@ -703,3 +703,53 @@ def centralizer_reference(changes, ext_g, d):
         inner = compose(ext_g.fiber(x), invert(changes[x], d), d)
         out.append(compose(changes[g.image(x)], inner, d))
     return out
+
+
+def power_image_reference(inner, exps, cap, memo=None):
+    """{exponents: Fraction} of prod_j G_j^{exps_j} for the inner map G, as
+    `polymap.Powers` associated it before its rational tables held integer
+    pairs: (G_{j1}^{b1} G_{j2}^{b2}) G_{j3}^{b3} ... with G_j^b = G_j^{b-1}
+    G_j, each product a `poly_mul_reference`.  `memo` may be shared between
+    calls on one inner map and cap."""
+    memo = {} if memo is None else memo
+    got = memo.get(exps)
+    if got is not None:
+        return got
+    n = len(exps)
+    last = max(j for j, e in enumerate(exps) if e)
+    e = exps[last]
+    rest = exps[:last] + (0,) * (n - last)
+    if any(rest):
+        power = (0,) * last + (e,) + (0,) * (n - last - 1)
+        got = poly_mul_reference(
+            power_image_reference(inner, rest, cap, memo),
+            power_image_reference(inner, power, cap, memo),
+            cap,
+        )
+    elif e == 1:
+        got = {ex: v for (c, ex), v in inner.coeffs.items() if c == last}
+    else:
+        lower = exps[:last] + (e - 1,) + exps[last + 1 :]
+        component = {ex: v for (c, ex), v in inner.coeffs.items() if c == last}
+        got = poly_mul_reference(power_image_reference(inner, lower, cap, memo), component, cap)
+    memo[exps] = got
+    return got
+
+
+def compose_reference(outer, inner, cap, n=None):
+    """{(coord, exponents): Fraction} of outer(inner(t)) truncated at the
+    cap (only its degree-n part when n is given), as `Powers.compose` summed
+    it term by term in Fractions on `power_image_reference` images: the
+    values and the key order of the rational composition."""
+    top = cap if n is None else n
+    memo, acc = {}, {}
+    for (coord, exps), value in outer.coeffs.items():
+        if sum(exps) > top:
+            continue
+        for e_out, v in power_image_reference(inner, exps, cap, memo).items():
+            if (sum(e_out) > cap) if n is None else (sum(e_out) != n):
+                continue
+            key = (coord, e_out)
+            w = acc.get(key)
+            acc[key] = value * v if w is None else w + value * v
+    return {k: v for k, v in acc.items() if v}
